@@ -4,9 +4,9 @@ Each subcommand reads an optional INI config (flat key = value entries under
 section headers), runs one experiment, writes a CSV table prefixed by a
 metadata comment block, prints a one-line verdict, and exits 0 on PASS,
 1 on a violated invariant or numerical failure, 2 on config errors.
-Identical config and version produce byte-identical CSV output; the
-``--threads`` flag is accepted for interface stability but sweeps are
-evaluated in order, single-threaded.
+Identical config and version produce byte-identical CSV output.  The
+``--threads`` flag is only a hint: sweeps run in order on one thread, and
+the output never depends on it.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import sys
-import time
 from dataclasses import dataclass, field
 from math import log, pi
 from pathlib import Path
@@ -26,9 +25,8 @@ import nlops.fields as fields
 import nlops.measures as measures
 import nlops.operators as operators
 import nlops.weights as weights
+from nlops import __version__
 from nlops.bessel import bessel_j, bessel_zero
-
-__version__ = "0.1.0"
 
 
 class ConfigError(ValueError):
@@ -144,7 +142,10 @@ def _parse_ints(text: str) -> tuple:
 def build_operator(cfg: ExperimentConfig) -> operators.FirstOrderOperator:
     section = cfg.operator
     if "file" in section:
-        return operators.from_text_file(section["file"])
+        try:
+            return operators.from_text_file(section["file"])
+        except OSError as exc:
+            raise ConfigError(f"cannot read operator file: {exc}")
     name = section.get("preset", "derivative")
     n = int(section.get("n", 1))
     try:
@@ -252,6 +253,8 @@ def cmd_bessel(cfg: ExperimentConfig, out: Path, rng) -> tuple[int, str]:
     t_lo = float(sec.get("t_min", 0.1))
     t_hi = float(sec.get("t_max", 50.0))
     step = float(sec.get("t_step", 0.01))
+    if step <= 0:
+        raise ConfigError(f"bessel t_step must be positive, got {step:g}")
     t = np.arange(t_lo, t_hi + 0.5 * step, step)
     vals = bessel_j(alpha, t)
     rows = list(zip(t, vals))
@@ -470,31 +473,6 @@ def cmd_atomic_demo(cfg: ExperimentConfig, out: Path, rng) -> tuple[int, str]:
     )
 
 
-def cmd_bench(cfg: ExperimentConfig, out: Path, rng) -> tuple[int, str]:
-    op = build_operator(cfg)
-    u = build_field(cfg, op, rng)
-    w = build_weight(cfg)
-    if w.n != op.n:
-        raise ConfigError("bench weight dimension does not match the operator")
-    s = cfg.s_list[0]
-    timings = []
-
-    def clock(label, fn):
-        t0 = time.perf_counter()
-        fn()
-        timings.append((label, time.perf_counter() - t0))
-
-    clock("local_spectral", lambda: fields.apply_local(op, u))
-    clock("spherical_spectral", lambda: fields.apply_spherical_spectral(op, u, s))
-    clock("spherical_direct", lambda: fields.apply_spherical_direct(op, u, s))
-    cache = {}
-    clock("radial_spectral", lambda: fields.apply_radial_spectral(op, u, w, cache))
-    clock("radial_direct", lambda: fields.apply_radial_direct(op, u, w))
-    write_csv(out / "bench.csv", "bench", cfg, ["path", "seconds"], timings, [("N", cfg.N), ("s", _fmt(s))])
-    summary = ", ".join(f"{label} {sec_:.4f}s" for label, sec_ in timings)
-    return 0, f"PASS bench: {summary}"
-
-
 COMMANDS = {
     "bessel": cmd_bessel,
     "zeros": cmd_zeros,
@@ -506,7 +484,6 @@ COMMANDS = {
     "gauss-green": cmd_gauss_green,
     "area": cmd_area,
     "atomic-demo": cmd_atomic_demo,
-    "bench": cmd_bench,
 }
 
 
@@ -520,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"run the {name} experiment")
         p.add_argument("--config", default=None, help="INI config file")
         p.add_argument("--out", default=".", help="output directory for CSV artifacts")
-        p.add_argument("--threads", type=int, default=1, help="worker hint (output is order-deterministic)")
+        p.add_argument("--threads", type=int, default=1, help="hint only (>= 1); sweeps run in order on one thread")
         p.add_argument("--seed", type=int, default=0, help="seed for random test fields")
     return parser
 
@@ -528,6 +505,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.threads < 1:
+            raise ConfigError(f"--threads must be >= 1, got {args.threads}")
         cfg = ExperimentConfig.from_ini(args.config)
     except ConfigError as exc:
         print(f"CONFIG ERROR: {exc}", file=sys.stderr)

@@ -37,6 +37,12 @@ KERNEL_GRAY_TOL = 1e-4
 #: averaged operators prune their frequency work set.
 SPECTRUM_FLOOR = 1e-14
 
+#: Weight tail neglected by the direct radial route.
+DIRECT_TAIL = 1e-8
+
+#: Complex exponentials held at once by the direct routes' phase buffer.
+DIRECT_BLOCK = 2**13
+
 
 def _active_spectrum(spec: np.ndarray) -> np.ndarray:
     """Mask of frequencies with non-negligible fiber magnitude.
@@ -158,30 +164,57 @@ def apply_spherical_spectral(op: FirstOrderOperator, u: TorusField, s: float) ->
     return TorusField(n=u.n, N=u.N, values=vals)
 
 
+def _direct_average(
+    op: FirstOrderOperator, u: TorusField, radii: np.ndarray, rweights: np.ndarray, quad_order: int
+) -> TorusField:
+    """Superposition of sphere-scale operators against the discrete radial
+    measure sum_k c_k delta(r - r_k), (r_k, c_k) = (radii[k], rweights[k]).
+
+    On each active frequency m the output is sum_i K_i(m) A_i uhat(m) with
+    K(m) = n/|S| sum_omega w_omega omega sum_k (c_k/r_k)(e^(2 pi i r_k m.omega) - 1):
+    the exact shifted difference quotients, summed over the explicit sphere
+    rule.  The closed-form multipliers are never evaluated.
+    """
+    axes = tuple(range(u.n))
+    uhat = np.fft.fftn(u.values, axes=axes)
+    active = _active_spectrum(uhat)
+    m_active = frequency_grid(u.n, u.N)[active].astype(float)
+    nodes, wq = sphere_quadrature(u.n, quad_order)
+    scaled = rweights / radii
+    kernel = np.empty((len(m_active), u.n), dtype=complex)
+    # blocks of modes and radii bound the (radii x modes x nodes) phase buffer
+    modes_per_block = max(1, DIRECT_BLOCK // len(nodes))
+    for j0 in range(0, len(m_active), modes_per_block):
+        proj = m_active[j0 : j0 + modes_per_block] @ nodes.T
+        radii_per_block = max(1, DIRECT_BLOCK // proj.size)
+        acc = np.full(proj.shape, -np.sum(scaled), dtype=complex)
+        for k0 in range(0, radii.size, radii_per_block):
+            block = radii[k0 : k0 + radii_per_block]
+            phase = np.exp(2j * pi * np.multiply.outer(block, proj))
+            acc += np.tensordot(scaled[k0 : k0 + radii_per_block], phase, axes=1)
+        kernel[j0 : j0 + modes_per_block] = (acc * wq) @ nodes
+    kernel *= u.n / sphere_surface(u.n)
+    u_active = uhat[active]
+    out = np.zeros(uhat.shape[:-1] + (op.dim_w,), dtype=complex)
+    for i, a in enumerate(op.coeffs):
+        out[active] += kernel[:, i : i + 1] * (u_active @ a.T)
+    vals = np.fft.ifftn(out, axes=axes).real
+    return TorusField(n=u.n, N=u.N, values=vals)
+
+
 def apply_spherical_direct(
     op: FirstOrderOperator, u: TorusField, s: float, quad_order: int = 64
 ) -> TorusField:
     """Sphere-scale operator by quadrature over shifted difference quotients.
 
-    Independent of the multiplier route: shifts are evaluated by exact
-    trigonometric interpolation and the sphere average by an explicit
-    quadrature rule, never through the closed-form damping factor.
+    The direct radial route with the one-point measure at ``s``: independent
+    of the multiplier route, it never evaluates the closed-form damping
+    factor.
     """
     _check_compat(op, u)
     if s <= 0:
         raise ValueError("scale s must be positive")
-    axes = tuple(range(u.n))
-    uhat = np.fft.fftn(u.values, axes=axes)
-    m = frequency_grid(u.n, u.N).astype(float)
-    nodes, wq = sphere_quadrature(u.n, quad_order)
-    out = np.zeros(u.values.shape[:-1] + (op.dim_w,), dtype=float)
-    for omega, weight in zip(nodes, wq):
-        phase = np.exp(2j * pi * s * (m @ omega))
-        shifted = np.fft.ifftn(uhat * phase[..., None], axes=axes).real
-        diff = (shifted - u.values) / s
-        out += weight * (diff @ symbol(op, omega).T)
-    out *= u.n / sphere_surface(u.n)
-    return TorusField(n=u.n, N=u.N, values=out)
+    return _direct_average(op, u, np.array([float(s)]), np.array([1.0]), quad_order)
 
 
 def apply_radial_spectral(
@@ -216,48 +249,19 @@ def apply_radial_spectral(
 
 
 def apply_radial_direct(
-    op: FirstOrderOperator,
-    u: TorusField,
-    w: RadialWeight,
-    quad_order: int = 64,
-    tail_threshold: float = 1e-8,
+    op: FirstOrderOperator, u: TorusField, w: RadialWeight, quad_order: int = 64
 ) -> TorusField:
     """Weighted radial operator as a superposition of sphere-scale operators.
 
     Uses the weight's superposition measure on (0, R], R chosen so the
-    neglected tail is below ``tail_threshold``, and the same sphere rule as
-    the direct sphere-scale route.  The radius sum and the sphere sum are
-    exchanged so the cost is one inverse FFT per sphere node; this regroups
-    the double quadrature exactly and introduces no extra approximation.
+    neglected tail is below DIRECT_TAIL, and the same sphere rule as the
+    direct sphere-scale route.  Never evaluates the weight's multiplier.
     """
     _check_compat(op, u)
     if w.n != u.n:
         raise ValueError(f"weight dimension {w.n} does not match field dimension {u.n}")
-    R = truncation_radius(w, tail_threshold)
-    radii, rweights = superposition_measure(w, r_max=R)
-    scaled = rweights / radii
-    axes = tuple(range(u.n))
-    uhat = np.fft.fftn(u.values, axes=axes)
-    m = frequency_grid(u.n, u.N).astype(float)
-    active = _active_spectrum(uhat)
-    uhat = np.where(active[..., None], uhat, 0.0)
-    m_active = m[active]
-    nodes, wq = sphere_quadrature(u.n, quad_order)
-    out = np.zeros(u.values.shape[:-1] + (op.dim_w,), dtype=float)
-    kernel = np.zeros(active.shape, dtype=complex)
-    for omega, weight in zip(nodes, wq):
-        proj = m_active @ omega
-        # sum over radii in blocks to bound the (radii x frequencies) buffer
-        acc = np.full(proj.shape, -np.sum(scaled), dtype=complex)
-        for k0 in range(0, radii.size, 128):
-            block = radii[k0 : k0 + 128]
-            acc += scaled[k0 : k0 + 128] @ np.exp(2j * pi * np.multiply.outer(block, proj))
-        kernel[...] = 0.0
-        kernel[active] = acc
-        shifted = np.fft.ifftn(uhat * kernel[..., None], axes=axes).real
-        out += weight * (shifted @ symbol(op, omega).T)
-    out *= u.n / sphere_surface(u.n)
-    return TorusField(n=u.n, N=u.N, values=out)
+    radii, rweights = superposition_measure(w, r_max=truncation_radius(w, DIRECT_TAIL))
+    return _direct_average(op, u, radii, rweights, quad_order)
 
 
 def lp_norm(u: TorusField, p) -> float:

@@ -61,14 +61,15 @@ def sphere_quadrature(n: int, order: int) -> tuple[np.ndarray, np.ndarray]:
         z, wz = roots_legendre(order)
         phi = 2.0 * np.pi * np.arange(2 * order) / (2 * order)
         r = np.sqrt(1.0 - z**2)
-        nodes = np.empty((order * 2 * order, 3))
-        weights = np.empty(order * 2 * order)
-        k = 0
-        for i in range(order):
-            for j in range(2 * order):
-                nodes[k] = (r[i] * np.cos(phi[j]), r[i] * np.sin(phi[j]), z[i])
-                weights[k] = wz[i] * (2.0 * np.pi / (2 * order))
-                k += 1
+        nodes = np.stack(
+            [
+                np.outer(r, np.cos(phi)).ravel(),
+                np.outer(r, np.sin(phi)).ravel(),
+                np.repeat(z, 2 * order),
+            ],
+            axis=1,
+        )
+        weights = np.repeat(wz * (2.0 * np.pi / (2 * order)), 2 * order)
         return nodes, weights
     raise ValueError(f"sphere quadrature supports n in {{1, 2, 3}}, got n={n}")
 

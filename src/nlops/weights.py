@@ -112,9 +112,6 @@ def truncation_radius(w: RadialWeight, threshold: float = TAIL_CUTOFF) -> float:
     return hi
 
 
-_truncation_radius = truncation_radius
-
-
 def _substitution_beta(w: RadialWeight) -> float:
     """Power-law substitution r = u^beta regularizing the radial integrand.
 
@@ -158,7 +155,7 @@ def superposition_measure(
     graded construction, which splits at profile breakpoints and applies the
     origin substitution when the profile is singular.
     """
-    R = _truncation_radius(w) if r_max is None else float(r_max)
+    R = truncation_radius(w) if r_max is None else float(r_max)
     if delta >= R:
         return np.array([]), np.array([])
     front = unit_ball_volume(w.n) * w.n
@@ -233,7 +230,7 @@ def normalize(w: RadialWeight) -> RadialWeight:
 
 def _mu_hat_quad(w: RadialWeight, xi: float, nodes_per_panel: int) -> float:
     """Panel quadrature of the oscillatory multiplier integral at xi > 0."""
-    R = _truncation_radius(w)
+    R = truncation_radius(w)
     half = w.n / 2.0
     beta = _substitution_beta(w)
     osc_width = 1.0 / (4.0 * xi)
@@ -318,7 +315,7 @@ def mu_hat_highprec(w: RadialWeight, xi_norm: float, dps: int = 35):
         raise ValueError("high-precision path requires xi_norm > 0")
     with mp.workdps(dps):
         x = mp.mpf(xi_norm)
-        R = mp.mpf(_truncation_radius(w))
+        R = mp.mpf(truncation_radius(w))
         if w.support_radius is None:
             R = R + 12  # generous pad; the mp path targets far smaller tails
         f = lambda r: w.profile_mp(r) * mp.sin(2 * mp.pi * r * x) / r

@@ -3,6 +3,8 @@ byte-level determinism."""
 
 import re
 
+import pytest
+
 from nlops.cli import ExperimentConfig, main, parse_terms
 
 SCI = re.compile(r"-?\d\.\d{16}e[+-]\d{2,3}$")
@@ -74,11 +76,6 @@ class TestSubcommandsRun:
         assert run(tmp_path, "atomic-demo") == 0
         assert "discontinuous ball average" in capsys.readouterr().out
 
-    def test_bench(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, "[run]\nn_grid = 32\n")
-        assert run(tmp_path, "bench", "--config", cfg) == 0
-        assert capsys.readouterr().out.startswith("PASS bench")
-
 
 class TestExitStatuses:
     def test_increasing_eps_list_is_config_error(self, tmp_path):
@@ -107,6 +104,22 @@ class TestExitStatuses:
     def test_odd_grid_size(self, tmp_path):
         cfg = write_config(tmp_path, "[run]\nn_grid = 33\n")
         assert run(tmp_path, "localize", "--config", cfg) == 2
+
+    def test_zero_bessel_step(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "[bessel]\nt_step = 0\n")
+        assert run(tmp_path, "bessel", "--config", cfg) == 2
+        assert capsys.readouterr().err.startswith("CONFIG ERROR")
+
+    def test_missing_operator_file(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, f"[operator]\nfile = {tmp_path / 'absent.txt'}\n")
+        assert run(tmp_path, "localize", "--config", cfg) == 2
+        assert capsys.readouterr().err.startswith("CONFIG ERROR")
+
+    @pytest.mark.parametrize("threads", ["0", "-4"])
+    def test_nonpositive_threads(self, tmp_path, capsys, threads):
+        assert run(tmp_path, "zeros", "--threads", threads) == 2
+        assert capsys.readouterr().err.startswith("CONFIG ERROR")
+        assert not (tmp_path / "zeros.csv").exists()
 
     def test_failed_invariant_exits_one(self, tmp_path, capsys):
         # s = 0.3 is not a kernel scale, so the witness comparison fails

@@ -168,22 +168,45 @@ class TestRadial:
         (1, normalize(gaussian_modification(1, 0.5))),
         (1, normalize(bump(1))),
         (2, normalize(bump(2))),
+        (3, normalize(gaussian_modification(3, 0.1))),
     ]
+
+    #: operator, grid size and sphere quadrature order per dimension
+    CASES = {1: (D1, 32, 64), 2: (gradient(2), 32, 64), 3: (curl3(), 16, 32)}
 
     @pytest.mark.parametrize("n,w", WEIGHTS, ids=lambda v: getattr(v, "name", str(v)))
     def test_spectral_matches_direct(self, n, w):
         # scale differences by mass * ||A u||: a strongly damping weight can
         # send the output itself to roundoff level
-        op = D1 if n == 1 else gradient(2)
+        op, N, order = self.CASES[n]
         rng = np.random.default_rng(101 + n)
         cache = {}
         for _ in range(3):
-            u = random_trig_field(n, 32, op.dim_v, rng, max_degree=3)
+            u = random_trig_field(n, N, op.dim_v, rng, max_degree=3)
             a = apply_radial_spectral(op, u, w, cache)
-            b = apply_radial_direct(op, u, w)
-            diff = TorusField(n=n, N=32, values=a.values - b.values)
+            b = apply_radial_direct(op, u, w, order)
+            diff = TorusField(n=n, N=N, values=a.values - b.values)
             scale = w.mass * lp_norm(apply_local(op, u), 2)
             assert lp_norm(diff, 2) < 1e-4 * scale
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_direct_routes_skip_the_multipliers(self, n, monkeypatch):
+        # the direct routes are independent checks on the spectral routes,
+        # so they must never reach the closed-form multipliers
+        def forbidden(*args, **kwargs):
+            raise AssertionError("direct route reached a closed-form multiplier")
+
+        monkeypatch.setattr("nlops.fields.ball_transform", forbidden)
+        monkeypatch.setattr("nlops.fields.mu_hat", forbidden)
+        op, N, order = self.CASES[n]
+        u = random_trig_field(n, N, op.dim_v, np.random.default_rng(n), max_degree=2)
+        w = normalize(bump(n))
+        assert lp_norm(apply_spherical_direct(op, u, 0.2, order), 2) > 0.0
+        assert lp_norm(apply_radial_direct(op, u, w, order), 2) > 0.0
+        with pytest.raises(AssertionError):
+            apply_spherical_spectral(op, u, 0.2)
+        with pytest.raises(AssertionError):
+            apply_radial_spectral(op, u, w)
 
     def test_mu_cache_is_honored(self):
         # poisoning a cache entry must change the output, proving the cache
