@@ -255,6 +255,8 @@ def cmd_bessel(cfg: ExperimentConfig, out: Path, rng) -> tuple[int, str]:
     step = float(sec.get("t_step", 0.01))
     if step <= 0:
         raise ConfigError(f"bessel t_step must be positive, got {step:g}")
+    if t_lo > t_hi:
+        raise ConfigError(f"bessel t_min must not exceed t_max, got {t_lo:g} > {t_hi:g}")
     t = np.arange(t_lo, t_hi + 0.5 * step, step)
     vals = bessel_j(alpha, t)
     rows = list(zip(t, vals))
@@ -298,7 +300,7 @@ def cmd_multiplier(cfg: ExperimentConfig, out: Path, rng) -> tuple[int, str]:
         # above double-precision resolution over the whole grid
         grid = np.linspace(float(sec.get("xi_min", 0.0)), float(sec.get("xi_max", 1.2)), int(sec.get("xi_count", 51)))
     vals, errs = weights.mu_hat_scan(w, grid)
-    report = weights.positivity_scan(w, grid)
+    report = weights.positivity_report(grid, vals)
     rows = list(zip(grid, vals, errs))
     write_csv(
         out / "multiplier.csv",
@@ -343,6 +345,8 @@ def cmd_kernel_check(cfg: ExperimentConfig, out: Path, rng) -> tuple[int, str]:
     sec = cfg.sections.get("kernel", {})
     s = float(sec.get("s", 0.5))
     max_degree = int(sec.get("max_degree", 4))
+    if max_degree < 1:
+        raise ConfigError(f"kernel max_degree must be >= 1, got {max_degree}")
     scan = fields.kernel_check_torus(op, s, max_degree)
     rows = [
         (" ".join(str(x) for x in line.m), line.m_norm, line.symbol_rank, line.j_value, line.j_error, line.flag)
@@ -420,6 +424,8 @@ def cmd_counterexample_linf(cfg: ExperimentConfig, out: Path, rng) -> tuple[int,
 def cmd_gauss_green(cfg: ExperimentConfig, out: Path, rng) -> tuple[int, str]:
     sec = cfg.sections.get("gauss_green", {})
     count = int(sec.get("count", 100))
+    if count < 1:
+        raise ConfigError(f"gauss_green count must be >= 1, got {count}")
     tol_jump = cfg.tolerances.get("gauss_green_jump", 1e-10)
     tol_smooth = cfg.tolerances.get("gauss_green_smooth", 1e-8)
     cases = {"heaviside": measures.heaviside_bv(), "trig": measures.trig_bv()}
@@ -447,6 +453,8 @@ def cmd_gauss_green(cfg: ExperimentConfig, out: Path, rng) -> tuple[int, str]:
 def cmd_area(cfg: ExperimentConfig, out: Path, rng) -> tuple[int, str]:
     sec = cfg.sections.get("area", {})
     cells = int(sec.get("cells", 800))
+    if cells < 1:
+        raise ConfigError(f"area cells must be >= 1, got {cells}")
     mu = measures.dirac((-1.0, 1.0), 0.0, 1.0)
     f = measures.area_integrand()
     table = measures.area_convergence_table(mu, f, cfg.s_list, cells=cells)

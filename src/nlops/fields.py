@@ -12,6 +12,7 @@ independent cross-checks of the multiplier routes.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from math import pi, sqrt
 from typing import Optional, Sequence
@@ -19,7 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from nlops.bessel import ball_transform, bessel_j
-from nlops.operators import FirstOrderOperator, symbol, wave_rank
+from nlops.operators import FirstOrderOperator, symbol, wave_rank, wave_ranks
 from nlops.quadrature import sphere_quadrature, sphere_surface
 from nlops.weights import RadialWeight, mu_hat, superposition_measure, truncation_radius
 
@@ -42,6 +43,11 @@ DIRECT_TAIL = 1e-8
 
 #: Complex exponentials held at once by the direct routes' phase buffer.
 DIRECT_BLOCK = 2**13
+
+#: A Chebyshev interpolant of a radial multiplier is accepted once its last
+#: CHEB_TAIL coefficients are at most CHEB_CHOP times its largest one.
+CHEB_CHOP = 1e-14
+CHEB_TAIL = 8
 
 
 def _active_spectrum(spec: np.ndarray) -> np.ndarray:
@@ -226,7 +232,8 @@ def apply_radial_spectral(
     """Weighted radial operator via the Bessel multiplier of the weight.
 
     ``mu_cache`` maps frequency magnitude to multiplier value; pass a dict to
-    reuse evaluations across calls with the same weight.
+    reuse evaluations across calls with the same weight.  The shells missing
+    from it are filled together by :func:`_shell_multipliers`.
     """
     _check_compat(op, u)
     if w.n != u.n:
@@ -239,13 +246,54 @@ def apply_radial_spectral(
     active = _active_spectrum(loc)
     loc = np.where(active[..., None], loc, 0.0)
     cache = {} if mu_cache is None else mu_cache
+    shells, shell_of = np.unique(norms[active], return_inverse=True)
+    missing = np.array([xi for xi in shells if xi not in cache])
+    if missing.size:
+        cache.update(zip(missing, _shell_multipliers(w, missing)))
     damp = np.zeros_like(norms)
-    for val in np.unique(norms[active]):
-        if val not in cache:
-            cache[val] = mu_hat(w, float(val))
-        damp[active & (norms == val)] = cache[val]
+    damp[active] = np.array([cache[xi] for xi in shells])[shell_of]
     vals = np.fft.ifftn(loc * damp[..., None], axes=axes).real
     return TorusField(n=u.n, N=u.N, values=vals)
+
+
+def _shell_multipliers(w: RadialWeight, xis: np.ndarray) -> list[float]:
+    """``mu_hat(w, xi)`` for each of the sorted, nonnegative shells ``xis``.
+
+    Every shipped weight has compact support or is Gaussian, so its
+    multiplier is entire and one Chebyshev interpolant on [0, max xi]
+    resolves it to rounding.  The interpolant samples ``mu_hat`` at
+    Chebyshev points of the second kind, degree 16, 32, 64, ...; the points
+    are nested, so each doubling evaluates only the new odd-indexed nodes.
+    A degree is accepted once its coefficients (a DCT-I of the samples) end
+    in a plateau below CHEB_CHOP.  Only degrees with fewer nodes than half
+    the shells are tried, so sparse spectra get one ``mu_hat`` call per
+    shell, exactly, and a dense spectrum that no allowed degree resolves
+    costs under 1.5 calls per shell.
+    """
+    hi = float(xis[-1])
+    degree, samples = 16, np.empty(0)
+    while degree + 1 < xis.size / 2:
+        fresh = np.arange(degree + 1) if samples.size == 0 else np.arange(1, degree, 2)
+        nodes = 0.5 * hi * (1.0 + np.cos(pi * fresh / degree))
+        values = np.array([mu_hat(w, float(t)) for t in nodes])
+        # the previous degree's samples are the even-indexed nodes
+        samples = np.insert(values, np.arange(samples.size), samples)
+        # DCT-I through the real FFT of the even extension
+        coeffs = np.fft.rfft(np.concatenate([samples, samples[-2:0:-1]])).real / degree
+        coeffs[[0, -1]] /= 2.0
+        if np.max(np.abs(coeffs[-CHEB_TAIL:])) <= CHEB_CHOP * np.max(np.abs(coeffs)):
+            return _clenshaw(coeffs, 2.0 * xis / hi - 1.0).tolist()
+        degree *= 2
+    return [mu_hat(w, float(xi)) for xi in xis]
+
+
+def _clenshaw(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Chebyshev series sum_k coeffs[k] T_k(x), by Clenshaw's recurrence."""
+    b1 = np.zeros_like(x)
+    b2 = np.zeros_like(x)
+    for c in coeffs[:0:-1]:
+        b1, b2 = c + 2.0 * x * b1 - b2, b1
+    return coeffs[0] + x * b1 - b2
 
 
 def apply_radial_direct(
@@ -400,16 +448,23 @@ def kernel_check_torus(op: FirstOrderOperator, s: float, max_degree: int = 8) ->
     if s <= 0:
         raise ValueError("scale s must be positive")
     half = op.n / 2.0
+    mvecs = [
+        mvec
+        for mvec in itertools.product(range(-max_degree, max_degree + 1), repeat=op.n)
+        if any(mvec)
+    ]
+    ranks = wave_ranks(op, np.array(mvecs, dtype=float))
+    # one scalar Bessel call per distinct |m|^2
+    j_of_square = {}
     lines = []
     flagged = []
     gray = []
-    for m in np.ndindex(*(2 * max_degree + 1,) * op.n):
-        mvec = tuple(mi - max_degree for mi in m)
-        if not any(mvec):
-            continue
-        norm = sqrt(sum(x * x for x in mvec))
-        j = float(bessel_j(half, 2.0 * pi * s * norm))
-        rank = wave_rank(op, np.asarray(mvec, float))
+    for mvec, rank in zip(mvecs, ranks):
+        square = sum(x * x for x in mvec)
+        norm = sqrt(square)
+        if square not in j_of_square:
+            j_of_square[square] = float(bessel_j(half, 2.0 * pi * s * norm))
+        j = j_of_square[square]
         if abs(j) < KERNEL_ZERO_TOL:
             flag = "zero"
             flagged.append(mvec)
@@ -422,7 +477,7 @@ def kernel_check_torus(op: FirstOrderOperator, s: float, max_degree: int = 8) ->
             KernelLine(
                 m=mvec,
                 m_norm=norm,
-                symbol_rank=rank,
+                symbol_rank=int(rank),
                 j_value=j,
                 j_error=BESSEL_EVAL_ERR,
                 flag=flag,

@@ -113,6 +113,20 @@ def wave_rank(op: FirstOrderOperator, xi) -> int:
     return int(np.sum(sv > RANK_RTOL * sv[0]))
 
 
+def wave_ranks(op: FirstOrderOperator, xis) -> np.ndarray:
+    """``wave_rank`` at each row of ``xis`` (shape (M, n)), by one stacked SVD.
+
+    The symbols are summed in the order :func:`symbol` uses.
+    """
+    xis = np.asarray(xis, dtype=float).reshape(-1, op.n)
+    mats = np.zeros((len(xis), op.dim_w, op.dim_v))
+    for c, a in zip(xis.T, op.coeffs):
+        mats += c[:, None, None] * a
+    sv = np.linalg.svd(mats, compute_uv=False)
+    # an all-zero symbol has no singular value above zero, so rank 0
+    return np.sum(sv > RANK_RTOL * sv[:, :1], axis=1)
+
+
 def cancellation_residual(op: FirstOrderOperator, quad_order: int = 64) -> float:
     """Frobenius norm of the sphere quadrature of the symbol profile.
 

@@ -74,6 +74,9 @@ def sphere_quadrature(n: int, order: int) -> tuple[np.ndarray, np.ndarray]:
     raise ValueError(f"sphere quadrature supports n in {{1, 2, 3}}, got n={n}")
 
 
+_legendre_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+
 def panel_rule(
     boundaries: np.ndarray, nodes_per_panel: int = 8
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -88,7 +91,9 @@ def panel_rule(
         raise ValueError("need at least two panel boundaries")
     if np.any(np.diff(boundaries) <= 0):
         raise ValueError("panel boundaries must be strictly increasing")
-    x, w = roots_legendre(nodes_per_panel)
+    if nodes_per_panel not in _legendre_cache:
+        _legendre_cache[nodes_per_panel] = roots_legendre(nodes_per_panel)
+    x, w = _legendre_cache[nodes_per_panel]
     a = boundaries[:-1][:, None]
     b = boundaries[1:][:, None]
     nodes = 0.5 * (b - a) * x[None, :] + 0.5 * (a + b)

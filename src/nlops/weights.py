@@ -42,7 +42,7 @@ class WeightError(ValueError):
 
 @dataclass(frozen=True)
 class RadialWeight:
-    """Radial weight with cached mass.
+    """Radial weight with cached mass and truncation radii.
 
     Attributes
     ----------
@@ -73,6 +73,7 @@ class RadialWeight:
     name: str = field(default="custom", compare=False)
     params: dict = field(default_factory=dict, compare=False)
     mass: float = field(init=False, compare=False)
+    truncation_radii: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.singularity_exponent <= -self.n:
@@ -94,10 +95,17 @@ def truncation_radius(w: RadialWeight, threshold: float = TAIL_CUTOFF) -> float:
     """Radius beyond which the weight is ignored (declared tail < threshold).
 
     Compact supports return the support radius; unbounded supports bisect
-    the analytic tail bound.
+    the analytic tail bound once per threshold and keep the radius in
+    ``w.truncation_radii``.
     """
     if w.support_radius is not None:
         return float(w.support_radius)
+    if threshold not in w.truncation_radii:
+        w.truncation_radii[threshold] = _bisect_tail(w, threshold)
+    return w.truncation_radii[threshold]
+
+
+def _bisect_tail(w: RadialWeight, threshold: float) -> float:
     lo, hi = 1e-6, 1.0
     while w.tail_bound(hi) >= threshold:
         hi *= 2.0
@@ -335,6 +343,15 @@ class PositivityReport:
     verdict: str
 
 
+def _sorted_grid(xi_grid) -> np.ndarray:
+    xi_grid = np.asarray(xi_grid, dtype=float)
+    if xi_grid.size == 0:
+        raise ValueError("positivity scan requires a nonempty grid")
+    if np.any(np.diff(xi_grid) < 0):
+        raise ValueError("positivity scan requires a sorted grid")
+    return xi_grid
+
+
 def positivity_scan(w: RadialWeight, xi_grid, highprec: bool = False) -> PositivityReport:
     """Scan mu_hat over a sorted grid and report minimum and sign changes.
 
@@ -344,15 +361,18 @@ def positivity_scan(w: RadialWeight, xi_grid, highprec: bool = False) -> Positiv
     which resolves multiplier values far below the double-precision
     quadrature noise floor (deep Gaussian tails).
     """
-    xi_grid = np.asarray(xi_grid, dtype=float)
-    if xi_grid.size == 0:
-        raise ValueError("positivity scan requires a nonempty grid")
-    if np.any(np.diff(xi_grid) < 0):
-        raise ValueError("positivity scan requires a sorted grid")
+    xi_grid = _sorted_grid(xi_grid)
     if highprec:
         vals = np.array([float(mu_hat_highprec(w, xi)) if xi > 0 else w.mass for xi in xi_grid])
     else:
         vals, _ = mu_hat_scan(w, xi_grid)
+    return positivity_report(xi_grid, vals)
+
+
+def positivity_report(xi_grid, vals) -> PositivityReport:
+    """Minimum and sign changes of multiplier values ``vals`` on a sorted grid."""
+    xi_grid = _sorted_grid(xi_grid)
+    vals = np.asarray(vals, dtype=float)
     changes = []
     for i in range(len(vals) - 1):
         if vals[i] * vals[i + 1] < 0.0:

@@ -115,6 +115,24 @@ class TestExitStatuses:
         assert run(tmp_path, "localize", "--config", cfg) == 2
         assert capsys.readouterr().err.startswith("CONFIG ERROR")
 
+    @pytest.mark.parametrize(
+        "subcommand,section",
+        [
+            ("gauss-green", "[gauss_green]\ncount = 0\n"),
+            ("kernel-check", "[kernel]\nmax_degree = 0\n"),
+            ("area", "[area]\ncells = 0\n"),
+            ("bessel", "[bessel]\nt_min = 5\nt_max = 1\n"),
+        ],
+        ids=["gauss_green-count", "kernel-max_degree", "area-cells", "bessel-t_range"],
+    )
+    def test_empty_range_is_config_error(self, tmp_path, capsys, subcommand, section):
+        # an empty scan must not pass vacuously, and an empty range is a
+        # configuration error, not a numerical failure
+        cfg = write_config(tmp_path, section)
+        assert run(tmp_path, subcommand, "--config", cfg) == 2
+        assert capsys.readouterr().err.startswith("CONFIG ERROR")
+        assert not list(tmp_path.glob("*.csv"))
+
     @pytest.mark.parametrize("threads", ["0", "-4"])
     def test_nonpositive_threads(self, tmp_path, capsys, threads):
         assert run(tmp_path, "zeros", "--threads", threads) == 2

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nlops.bessel import ball_transform
+from nlops.bessel import ball_transform, bessel_j
 from nlops.fields import (
     FrequencyMultiplier,
     TorusField,
@@ -34,8 +34,9 @@ from nlops.operators import (
     divergence,
     gradient,
     scalar_derivative,
+    wave_rank,
 )
-from nlops.weights import annulus, annulus_family, bump, gaussian_modification, normalize
+from nlops.weights import annulus, annulus_family, bump, gaussian_modification, mu_hat, normalize
 
 D1 = scalar_derivative()
 
@@ -222,8 +223,6 @@ class TestRadial:
         assert lp_norm(second, np.inf) == 0.0
 
     def test_single_mode_matches_multiplier_value(self):
-        from nlops.weights import mu_hat
-
         u = sine_field(N=64)
         w = annulus(0.05)
         got = apply_radial_spectral(D1, u, w)
@@ -245,6 +244,59 @@ class TestRadial:
     def test_weight_dimension_mismatch(self):
         with pytest.raises(ValueError):
             apply_radial_spectral(D1, sine_field(N=16), normalize(bump(2)))
+
+
+class TestShellTable:
+    """How apply_radial_spectral fills its multiplier dict: one Chebyshev
+    interpolant on dense spectra, one mu_hat call per shell on sparse ones."""
+
+    @staticmethod
+    def counting_mu_hat(monkeypatch):
+        calls = []
+
+        def counted(w, xi):
+            calls.append(xi)
+            return mu_hat(w, xi)
+
+        monkeypatch.setattr("nlops.fields.mu_hat", counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "w",
+        [normalize(bump(2, 0.3)), normalize(gaussian_modification(2, 0.1))],
+        ids=lambda w: w.name,
+    )
+    def test_dense_spectrum_uses_the_interpolant(self, w, monkeypatch):
+        calls = self.counting_mu_hat(monkeypatch)
+        rng = np.random.default_rng(31)
+        u = TorusField(n=2, N=64, values=rng.standard_normal((64, 64, 1)))
+        table = {}
+        apply_radial_spectral(gradient(2), u, w, table)
+        assert len(calls) < len(table)
+        worst = max(abs(val - mu_hat(w, float(xi))) for xi, val in table.items())
+        assert worst <= 1e-13
+
+    def test_sparse_spectrum_calls_mu_hat_per_shell(self, monkeypatch):
+        calls = self.counting_mu_hat(monkeypatch)
+        w = normalize(bump(2))
+        u = random_trig_field(2, 32, 1, np.random.default_rng(8), max_degree=3, num_terms=6)
+        table = {}
+        apply_radial_spectral(gradient(2), u, w, table)
+        assert sorted(calls) == sorted(float(xi) for xi in table)
+        assert all(val == mu_hat(w, float(xi)) for xi, val in table.items())
+
+    def test_unresolved_interpolant_falls_back_per_shell(self, monkeypatch):
+        # no Chebyshev tail meets a zero chop, so every degree the size rule
+        # allows is tried and discarded before the per-shell pass
+        monkeypatch.setattr("nlops.fields.CHEB_CHOP", 0.0)
+        calls = self.counting_mu_hat(monkeypatch)
+        w = normalize(bump(2, 0.3))
+        rng = np.random.default_rng(32)
+        u = TorusField(n=2, N=64, values=rng.standard_normal((64, 64, 1)))
+        table = {}
+        apply_radial_spectral(gradient(2), u, w, table)
+        assert len(table) < len(calls) < 1.5 * len(table)
+        assert all(val == mu_hat(w, float(xi)) for xi, val in table.items())
 
 
 class TestLocalization:
@@ -302,6 +354,23 @@ class TestKernelScan:
     def test_rejects_nonpositive_scale(self):
         with pytest.raises(ValueError):
             kernel_check_torus(D1, 0.0)
+
+    @pytest.mark.parametrize(
+        "op,s,degree",
+        [(D1, 0.5, 6), (gradient(2), 0.37, 5), (divergence(2), 1.0, 4), (curl3(), 0.5, 3), (curl3(), 0.123, 3)],
+    )
+    def test_matches_frequency_by_frequency_scan(self, op, s, degree):
+        # reference scan: one Bessel call and one SVD per frequency, in
+        # np.ndindex order
+        want = []
+        for idx in np.ndindex(*(2 * degree + 1,) * op.n):
+            mvec = tuple(i - degree for i in idx)
+            if any(mvec):
+                norm = sqrt(sum(x * x for x in mvec))
+                j = float(bessel_j(op.n / 2.0, 2.0 * pi * s * norm))
+                want.append((mvec, norm, wave_rank(op, np.asarray(mvec, float)), j))
+        scan = kernel_check_torus(op, s, degree)
+        assert [(l.m, l.m_norm, l.symbol_rank, l.j_value) for l in scan.lines] == want
 
 
 class TestWitness:

@@ -1,6 +1,7 @@
 """Weight profiles: masses and tails against closed forms, multiplier against
 independent sine-integral and arbitrary-precision oracles."""
 
+from dataclasses import replace
 from math import pi
 
 import numpy as np
@@ -23,6 +24,7 @@ from nlops.weights import (
     mu_hat_highprec,
     mu_hat_scan,
     normalize,
+    positivity_report,
     positivity_scan,
     rescaled_family,
     superposition_measure,
@@ -89,6 +91,22 @@ class TestTails:
         w = gaussian_modification(1, 1.0)
         R = truncation_radius(w, 1e-8)
         assert w.tail_bound(R) < 1e-8 < w.tail_bound(0.9 * R)
+
+    def test_truncation_radius_is_bisected_once_per_threshold(self):
+        calls = []
+        base = gaussian_modification(2, 0.3)
+
+        def counted(delta):
+            calls.append(delta)
+            return base.tail_bound(delta)
+
+        w = replace(base, tail_bound=counted)
+        R = truncation_radius(w, 1e-9)
+        bisected = len(calls)
+        assert bisected > 0
+        assert truncation_radius(w, 1e-9) == R
+        assert len(calls) == bisected
+        assert truncation_radius(base, 1e-9) == R
 
     @given(st.floats(min_value=0.05, max_value=1.5), st.floats(min_value=0.05, max_value=1.5))
     @settings(max_examples=30, deadline=None)
@@ -182,6 +200,14 @@ class TestPositivity:
     def test_rejects_unsorted_grid(self):
         with pytest.raises(ValueError):
             positivity_scan(annulus(0.1), np.array([1.0, 0.5]))
+
+    def test_report_from_values_matches_scan(self):
+        w = annulus(0.1)
+        grid = np.linspace(0.1, 9.0, 120)
+        vals, _ = mu_hat_scan(w, grid)
+        assert positivity_report(grid, vals) == positivity_scan(w, grid)
+        with pytest.raises(ValueError):
+            positivity_report(grid[::-1], vals[::-1])
 
 
 class TestSuperposition:
