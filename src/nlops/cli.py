@@ -139,6 +139,30 @@ def _parse_ints(text: str) -> tuple:
         raise ConfigError(f"cannot parse integer list from {text!r}")
 
 
+#: (convert, check, description) of the value kinds that _setting reads.
+NUMBER = (float, lambda v: True, "a number")
+NONNEGATIVE = (float, lambda v: v >= 0, "a number >= 0")
+POSITIVE = (float, lambda v: v > 0, "a positive number")
+COUNT = (int, lambda k: k >= 1, "an integer >= 1")
+
+
+def _setting(cfg: ExperimentConfig, section: str, key: str, default, kind=NUMBER):
+    """``[section] key`` (or ``default``), converted and range-checked by ``kind``.
+
+    Raises ConfigError naming the section and the key when the value does
+    not convert or fails the check.
+    """
+    convert, check, rule = kind
+    raw = cfg.sections.get(section, {}).get(key, default)
+    try:
+        value = convert(raw)
+        if check(value):
+            return value
+    except ValueError:
+        pass
+    raise ConfigError(f"[{section}] {key} must be {rule}, got {raw!r}")
+
+
 def build_operator(cfg: ExperimentConfig) -> operators.FirstOrderOperator:
     section = cfg.operator
     if "file" in section:
@@ -248,13 +272,10 @@ def write_csv(path: Path, subcommand: str, cfg: ExperimentConfig, header, rows, 
 
 
 def cmd_bessel(cfg: ExperimentConfig, out: Path, rng) -> tuple[int, str]:
-    sec = cfg.sections.get("bessel", {})
-    alpha = float(sec.get("alpha", 0.5))
-    t_lo = float(sec.get("t_min", 0.1))
-    t_hi = float(sec.get("t_max", 50.0))
-    step = float(sec.get("t_step", 0.01))
-    if step <= 0:
-        raise ConfigError(f"bessel t_step must be positive, got {step:g}")
+    alpha = _setting(cfg, "bessel", "alpha", 0.5, NONNEGATIVE)
+    t_lo = _setting(cfg, "bessel", "t_min", 0.1, NONNEGATIVE)
+    t_hi = _setting(cfg, "bessel", "t_max", 50.0)
+    step = _setting(cfg, "bessel", "t_step", 0.01, POSITIVE)
     if t_lo > t_hi:
         raise ConfigError(f"bessel t_min must not exceed t_max, got {t_lo:g} > {t_hi:g}")
     t = np.arange(t_lo, t_hi + 0.5 * step, step)
@@ -273,11 +294,8 @@ def cmd_bessel(cfg: ExperimentConfig, out: Path, rng) -> tuple[int, str]:
 
 
 def cmd_zeros(cfg: ExperimentConfig, out: Path, rng) -> tuple[int, str]:
-    sec = cfg.sections.get("zeros", {})
-    alpha = float(sec.get("alpha", 0.5))
-    count = int(sec.get("count", 5))
-    if count < 1:
-        raise ConfigError("zeros count must be >= 1")
+    alpha = _setting(cfg, "zeros", "alpha", 0.5, NONNEGATIVE)
+    count = _setting(cfg, "zeros", "count", 5, COUNT)
     rows = []
     worst = 0.0
     for k in range(1, count + 1):
@@ -292,13 +310,17 @@ def cmd_zeros(cfg: ExperimentConfig, out: Path, rng) -> tuple[int, str]:
 
 def cmd_multiplier(cfg: ExperimentConfig, out: Path, rng) -> tuple[int, str]:
     w = build_weight(cfg)
-    sec = cfg.sections.get("multiplier", {})
-    if "xi_list" in sec:
-        grid = np.asarray(_parse_floats(sec["xi_list"]))
+    if "xi_list" in cfg.sections.get("multiplier", {}):
+        ascending = lambda xs: 0 < len(xs) and 0 <= xs[0] and list(xs) == sorted(xs)
+        kind = (_parse_floats, ascending, "an ascending list of numbers >= 0")
+        grid = np.asarray(_setting(cfg, "multiplier", "xi_list", "", kind))
     else:
         # default window chosen so the default (gaussian) multiplier stays
         # above double-precision resolution over the whole grid
-        grid = np.linspace(float(sec.get("xi_min", 0.0)), float(sec.get("xi_max", 1.2)), int(sec.get("xi_count", 51)))
+        lo = _setting(cfg, "multiplier", "xi_min", 0.0, NONNEGATIVE)
+        hi = _setting(cfg, "multiplier", "xi_max", 1.2, (float, lambda x: x >= lo, "a number >= xi_min"))
+        count = _setting(cfg, "multiplier", "xi_count", 51, COUNT)
+        grid = np.linspace(lo, hi, count)
     vals, errs = weights.mu_hat_scan(w, grid)
     report = weights.positivity_report(grid, vals)
     rows = list(zip(grid, vals, errs))
@@ -342,11 +364,8 @@ def cmd_localize(cfg: ExperimentConfig, out: Path, rng) -> tuple[int, str]:
 
 def cmd_kernel_check(cfg: ExperimentConfig, out: Path, rng) -> tuple[int, str]:
     op = build_operator(cfg)
-    sec = cfg.sections.get("kernel", {})
-    s = float(sec.get("s", 0.5))
-    max_degree = int(sec.get("max_degree", 4))
-    if max_degree < 1:
-        raise ConfigError(f"kernel max_degree must be >= 1, got {max_degree}")
+    s = _setting(cfg, "kernel", "s", 0.5, POSITIVE)
+    max_degree = _setting(cfg, "kernel", "max_degree", 4, COUNT)
     scan = fields.kernel_check_torus(op, s, max_degree)
     rows = [
         (" ".join(str(x) for x in line.m), line.m_norm, line.symbol_rank, line.j_value, line.j_error, line.flag)
@@ -368,8 +387,8 @@ def cmd_kernel_check(cfg: ExperimentConfig, out: Path, rng) -> tuple[int, str]:
 def cmd_witness(cfg: ExperimentConfig, out: Path, rng) -> tuple[int, str]:
     op = build_operator(cfg)
     sec = cfg.sections.get("witness", {})
-    s = float(sec.get("s", 0.5))
-    mvec = _parse_ints(sec.get("m", "1"))
+    s = _setting(cfg, "witness", "s", 0.5, POSITIVE)
+    mvec = _setting(cfg, "witness", "m", "1", (_parse_ints, any, "a nonzero integer frequency"))
     if len(mvec) != op.n:
         raise ConfigError(f"witness frequency {mvec} does not match operator dimension {op.n}")
     if "v" in sec:
@@ -422,10 +441,7 @@ def cmd_counterexample_linf(cfg: ExperimentConfig, out: Path, rng) -> tuple[int,
 
 
 def cmd_gauss_green(cfg: ExperimentConfig, out: Path, rng) -> tuple[int, str]:
-    sec = cfg.sections.get("gauss_green", {})
-    count = int(sec.get("count", 100))
-    if count < 1:
-        raise ConfigError(f"gauss_green count must be >= 1, got {count}")
+    count = _setting(cfg, "gauss_green", "count", 100, COUNT)
     tol_jump = cfg.tolerances.get("gauss_green_jump", 1e-10)
     tol_smooth = cfg.tolerances.get("gauss_green_smooth", 1e-8)
     cases = {"heaviside": measures.heaviside_bv(), "trig": measures.trig_bv()}
@@ -451,10 +467,7 @@ def cmd_gauss_green(cfg: ExperimentConfig, out: Path, rng) -> tuple[int, str]:
 
 
 def cmd_area(cfg: ExperimentConfig, out: Path, rng) -> tuple[int, str]:
-    sec = cfg.sections.get("area", {})
-    cells = int(sec.get("cells", 800))
-    if cells < 1:
-        raise ConfigError(f"area cells must be >= 1, got {cells}")
+    cells = _setting(cfg, "area", "cells", 800, COUNT)
     mu = measures.dirac((-1.0, 1.0), 0.0, 1.0)
     f = measures.area_integrand()
     table = measures.area_convergence_table(mu, f, cfg.s_list, cells=cells)
@@ -468,8 +481,7 @@ def cmd_area(cfg: ExperimentConfig, out: Path, rng) -> tuple[int, str]:
 
 
 def cmd_atomic_demo(cfg: ExperimentConfig, out: Path, rng) -> tuple[int, str]:
-    sec = cfg.sections.get("atomic", {})
-    s = float(sec.get("s", 1.0))
+    s = _setting(cfg, "atomic", "s", 1.0, POSITIVE)
     rows = measures.atomic_divergence_demo(s)
     csv_rows = [(px, py, val, inside) for (px, py), val, inside in rows]
     write_csv(out / "atomic_demo.csv", "atomic-demo", cfg, ["probe_x", "probe_y", "value", "atoms_inside"], csv_rows, [("s", s)])

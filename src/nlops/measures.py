@@ -1,10 +1,12 @@
-"""Exact averaging operators on vector measures, and area-functional checks.
+"""Averaging operators on vector measures, and area-functional checks.
 
 A measure here is an absolutely continuous part, sampled as a
 piecewise-constant density on a uniform cell grid over a fixed window, plus
-a finite list of atoms.  Ball averages of such measures are computed
-exactly: prefix sums with partial cells in 1D, cell-center counting in 2D,
-and point-in-ball tests for atoms.  On top of the averages the module
+a finite list of atoms.  One kernel computes the ball averages of such
+measures: in 1D exactly for the cell model (prefix sums with partial cells),
+in 2D by counting whole cells by their centres (not exact: on a constant
+density the average misses by O(h/r)), and with point-in-ball tests for
+atoms.  On top of the averages the module
 provides the weighted radial operator for measures, the sup-norm
 localization gap for u(t) = |t|, the area functional with recession term,
 its convergence tables, a one-dimensional Gauss-Green residual for
@@ -15,13 +17,14 @@ discontinuous average.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import log, pi, sqrt
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from nlops.quadrature import graded_boundaries, panel_rule
-from nlops.weights import RadialWeight, truncation_radius
+from nlops.weights import RadialWeight, annulus, truncation_radius
 from nlops.bessel import unit_ball_volume
 
 #: Distances closer than this to a ball boundary count as "on" it.
@@ -45,6 +48,12 @@ class WindowExitError(MeasureError):
 
 class JumpAtEvaluationError(MeasureError):
     """A Gauss-Green endpoint coincides with a jump location."""
+
+
+def _grid(lo: float, hi: float, cells: int) -> tuple[np.ndarray, np.ndarray]:
+    """Edges and centres of ``cells`` equal cells on [lo, hi]."""
+    edges = np.linspace(lo, hi, cells + 1)
+    return edges, 0.5 * (edges[:-1] + edges[1:])
 
 
 @dataclass(frozen=True)
@@ -95,14 +104,25 @@ class MeasureField:
             atoms.append((loc, weight))
         object.__setattr__(self, "atoms", tuple(atoms))
 
-    @property
-    def cell_count(self) -> int:
-        return 0 if self.density is None else self.density.shape[0]
-
-    def edges(self, axis: int = 0) -> np.ndarray:
+    @cached_property
+    def grid(self) -> tuple:
+        """Per-axis (edges, centres) of the density grid, built once."""
         if self.density is None:
             raise MeasureError("purely atomic measure has no grid")
-        return np.linspace(self.window[axis, 0], self.window[axis, 1], self.density.shape[axis] + 1)
+        return tuple(_grid(lo, hi, cells) for (lo, hi), cells in zip(self.window, self.density.shape))
+
+    @cached_property
+    def prefix(self) -> np.ndarray:
+        """1D cumulative density integral at the cell edges, shape (cells+1, dim)."""
+        pref = np.zeros((self.density.shape[0] + 1, self.dim))
+        np.cumsum(self.density * self.cell_volume(), axis=0, out=pref[1:])
+        return pref
+
+    @cached_property
+    def jumps(self) -> np.ndarray:
+        """1D interior cell edges where the density changes value."""
+        edges = self.grid[0][0]
+        return edges[1:-1][np.any(self.density[:-1] != self.density[1:], axis=-1)]
 
     def cell_volume(self) -> float:
         vol = 1.0
@@ -142,8 +162,7 @@ def dirac(window, location, weight, cells: int = 0, n: int = 1) -> MeasureField:
 def from_density_fn(window, cells: int, fn: Callable, dim: int = 1) -> MeasureField:
     """1D measure whose density samples ``fn`` at cell centers."""
     window = np.asarray(window, float).reshape(1, 2)
-    edges = np.linspace(window[0, 0], window[0, 1], cells + 1)
-    centers = 0.5 * (edges[:-1] + edges[1:])
+    _, centers = _grid(window[0, 0], window[0, 1], cells)
     vals = np.asarray(fn(centers), dtype=float)
     if vals.ndim == 1:
         vals = vals[:, None]
@@ -161,10 +180,9 @@ def sign_measure(window=(-2.0, 2.0), cells: int = 8000) -> MeasureField:
     a, b = float(window[0]), float(window[1])
     if not (a < 0.0 < b):
         raise MeasureError("sign measure window must contain 0")
-    edges = np.linspace(a, b, cells + 1)
+    edges, centers = _grid(a, b, cells)
     if not np.any(np.isclose(edges, 0.0, atol=1e-15)):
         raise MeasureError("cell grid must place t = 0 on a cell edge")
-    centers = 0.5 * (edges[:-1] + edges[1:])
     return MeasureField(n=1, window=[[a, b]], density=np.sign(centers)[:, None], atoms=(), dim=1)
 
 
@@ -172,89 +190,57 @@ def sign_measure(window=(-2.0, 2.0), cells: int = 8000) -> MeasureField:
 # Ball averages
 
 
-def _prefix(mu: MeasureField) -> np.ndarray:
-    """Cumulative density integral at the cell edges, shape (cells+1, dim)."""
-    h = mu.cell_volume()
-    pref = np.zeros((mu.density.shape[0] + 1, mu.dim))
-    np.cumsum(mu.density * h, axis=0, out=pref[1:])
-    return pref
+def _ball_average(mu: MeasureField, x: np.ndarray, radii: np.ndarray, extend: bool) -> np.ndarray:
+    """mu(B_r(x)) / |B_r| for every radius in the 1D array ``radii``.
 
-
-def _ball_integral_1d(mu: MeasureField, radii: np.ndarray, x: float, extend: bool) -> np.ndarray:
-    """mu((x-r, x+r)) for an array of radii; exact for the cell model.
-
-    With ``extend`` the density is treated as zero outside the window
+    ``x`` has shape (..., n): in 1D any leading probe axes broadcast against
+    the radii, in 2D it is one probe.  The result has shape
+    x.shape[:-1] + radii.shape + (dim,).  1D balls read the prefix integral
+    at x +- r, exact for the cell model; 2D balls count density cells by
+    their centres.  With ``extend`` the density is zero outside the window
     (np.interp clamps the prefix integral at the ends); otherwise a ball
-    reaching outside raises.
+    reaching outside raises.  An atom on a ball boundary always raises.
     """
-    radii = np.asarray(radii, dtype=float)
-    lo, hi = mu.window[0]
-    if not extend and (x - np.max(radii, initial=0.0) < lo - BOUNDARY_ATOL or x + np.max(radii, initial=0.0) > hi + BOUNDARY_ATOL):
-        raise WindowExitError(
-            f"ball of radius {np.max(radii):g} around {x:g} exits the window [{lo:g}, {hi:g}]"
-        )
-    out = np.zeros(radii.shape + (mu.dim,))
-    if mu.density is not None:
-        edges = mu.edges()
-        pref = _prefix(mu)
-        for k in range(mu.dim):
-            out[..., k] = np.interp(x + radii, edges, pref[:, k]) - np.interp(x - radii, edges, pref[:, k])
-    for loc, weight in mu.atoms:
-        dist = abs(loc[0] - x)
-        onb = np.abs(dist - radii) <= BOUNDARY_ATOL * max(1.0, dist)
-        if np.any(onb):
-            raise AtomOnBoundaryError(
-                f"atom at {loc[0]:g} lies on the boundary of B_r({x:g}) for r={radii[onb][0]:g}"
-            )
-        out[dist < radii] += weight
-    return out
-
-
-def _ball_integral_2d(mu: MeasureField, s: float, x: np.ndarray, extend: bool) -> np.ndarray:
     if not extend:
-        for axis in range(2):
-            if x[axis] - s < mu.window[axis, 0] - BOUNDARY_ATOL or x[axis] + s > mu.window[axis, 1] + BOUNDARY_ATOL:
-                raise WindowExitError(f"ball of radius {s:g} around {tuple(x)} exits the window")
-    out = np.zeros(mu.dim)
-    if mu.density is not None:
-        ex = mu.edges(0)
-        ey = mu.edges(1)
-        cx = 0.5 * (ex[:-1] + ex[1:])
-        cy = 0.5 * (ey[:-1] + ey[1:])
+        r = radii.max()
+        lo, hi = mu.window.T
+        if (x - r < lo - BOUNDARY_ATOL).any() or (x + r > hi + BOUNDARY_ATOL).any():
+            raise WindowExitError(f"ball of radius {r:g} around {x} exits the window {mu.window.tolist()}")
+    out = np.zeros(x.shape[:-1] + radii.shape + (mu.dim,))
+    if mu.density is not None and mu.n == 1:
+        edges = mu.grid[0][0]
+        for k in range(mu.dim):
+            out[..., k] = np.interp(x + radii, edges, mu.prefix[:, k]) - np.interp(x - radii, edges, mu.prefix[:, k])
+    elif mu.density is not None:
+        (_, cx), (_, cy) = mu.grid
         dist2 = (cx[:, None] - x[0]) ** 2 + (cy[None, :] - x[1]) ** 2
-        inside = dist2 < s**2
-        out += mu.density[inside].sum(axis=0) * mu.cell_volume()
+        for i, r in enumerate(radii):
+            out[i] += mu.density[dist2 < r**2].sum(axis=0) * mu.cell_volume()
     for loc, weight in mu.atoms:
-        dist = sqrt((loc[0] - x[0]) ** 2 + (loc[1] - x[1]) ** 2)
-        if abs(dist - s) <= BOUNDARY_ATOL * max(1.0, dist):
-            raise AtomOnBoundaryError(f"atom at {loc} lies on the circle of radius {s:g} around {tuple(x)}")
-        if dist < s:
-            out += weight
-    return out
+        dist = np.sqrt(((np.asarray(loc) - x) ** 2).sum(axis=-1, keepdims=True))
+        onb = abs(dist - radii) <= BOUNDARY_ATOL * np.maximum(1.0, dist)
+        if onb.any():
+            r = np.broadcast_to(radii, onb.shape)[onb][0]
+            raise AtomOnBoundaryError(f"atom at {loc} lies on the boundary of a ball of radius {r:g}")
+        out[dist < radii] += weight
+    return out / ((2.0 if mu.n == 1 else pi) * radii**mu.n)[:, None]
 
 
 def spherical_of_measure(mu: MeasureField, s: float, x) -> np.ndarray:
-    """Ball average mu(B_s(x)) / (omega_n s^n); exact for the cell model.
+    """Ball average mu(B_s(x)) / (omega_n s^n).
 
-    1D balls use partial-cell prefix sums, 2D balls count density cells by
-    their centers.  Atoms on the ball boundary and balls leaving the window
-    are reported as errors, never resolved by convention.
+    Exact for the cell model in 1D (partial cells count fractionally); in 2D
+    density cells count whole by their centres.  Atoms on the ball boundary
+    and balls leaving the window are reported as errors, never resolved by
+    convention.
     """
     if s <= 0:
         raise ValueError("radius s must be positive")
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    vol = unit_ball_volume(mu.n) * s**mu.n
-    if mu.n == 1:
-        return _ball_integral_1d(mu, np.asarray(s), float(x[0]), extend=False) / vol
-    return _ball_integral_2d(mu, s, x, extend=False) / vol
+    return _ball_average(mu, x, np.array([s], dtype=float), extend=False)[0]
 
 
-def _spherical_many_1d(mu: MeasureField, radii: np.ndarray, x: float, extend: bool) -> np.ndarray:
-    vols = 2.0 * radii
-    return _ball_integral_1d(mu, radii, x, extend) / vols[:, None]
-
-
-def _radial_boundaries(mu: MeasureField, w: RadialWeight, x: float, R: float) -> np.ndarray:
+def _radial_boundaries(mu: MeasureField, w: RadialWeight, x: np.ndarray, R: float) -> np.ndarray:
     """Panel split points for the radial quadrature: weight breakpoints,
     atom-crossing radii, density-jump crossing radii, and a uniform overlay."""
     pts = {0.0, R}
@@ -262,13 +248,11 @@ def _radial_boundaries(mu: MeasureField, w: RadialWeight, x: float, R: float) ->
         if 0.0 < b < R:
             pts.add(float(b))
     for loc, _ in mu.atoms:
-        d = abs(loc[0] - x) if mu.n == 1 else float(np.linalg.norm(np.subtract(loc, x)))
+        d = float(np.linalg.norm(np.subtract(loc, x)))
         if 0.0 < d < R:
             pts.add(d)
     if mu.n == 1 and mu.density is not None:
-        edges = mu.edges()
-        jumps = edges[1:-1][np.any(mu.density[:-1] != mu.density[1:], axis=-1)]
-        crossing = np.abs(jumps - x)
+        crossing = np.abs(mu.jumps - x[0])
         crossing = crossing[(crossing > 0.0) & (crossing < R)]
         if crossing.size <= 64:
             pts.update(float(c) for c in crossing)
@@ -291,18 +275,13 @@ def radial_of_measure(mu: MeasureField, w: RadialWeight, x) -> np.ndarray:
         raise MeasureError(f"weight dimension {w.n} does not match measure dimension {mu.n}")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     R = truncation_radius(w)
-    bounds = _radial_boundaries(mu, w, float(x[0]) if mu.n == 1 else x, R)
+    bounds = _radial_boundaries(mu, w, x, R)
     if w.singularity_exponent < 0.0 and bounds.size > 1:
         refined = graded_boundaries(0.0, bounds[1], 12, power=3.0)
         bounds = np.unique(np.concatenate([refined, bounds]))
     nodes, wts = panel_rule(bounds, 8)
     front = mu.n * unit_ball_volume(mu.n) * nodes ** (mu.n - 1) * w.profile(nodes)
-    if mu.n == 1:
-        sph = _spherical_many_1d(mu, nodes, float(x[0]), extend=False)
-    else:
-        sph = np.stack([_ball_integral_2d(mu, float(r), x, extend=False) for r in nodes])
-        sph /= (unit_ball_volume(2) * nodes**2)[:, None]
-    return np.einsum("k,k,kd->d", wts, front, sph)
+    return np.einsum("k,k,kd->d", wts, front, _ball_average(mu, x, nodes, extend=False))
 
 
 # ---------------------------------------------------------------------------
@@ -319,8 +298,6 @@ def linf_gap(eps: float, probe_count: int = 400) -> float:
     """
     if not 0.0 < eps < 0.25:
         raise ValueError("eps must lie in (0, 1/4)")
-    from nlops.weights import annulus
-
     w = annulus(eps)
     mu = sign_measure()
     probes = -1.0 + (np.arange(probe_count) + 0.5) * (2.0 / probe_count)
@@ -411,13 +388,8 @@ def _spherical_field_1d(mu: MeasureField, s: float, cells: int) -> MeasureField:
     Evaluated with the measure extended by zero, so probes near the window
     ends are defined; values are window-relative in that sense.
     """
-    lo, hi = mu.window[0]
-    edges = np.linspace(lo, hi, cells + 1)
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    rows = []
-    for c in centers:
-        rows.append(_ball_integral_1d(mu, np.asarray([s]), float(c), extend=True)[0] / (2.0 * s))
-    vals = np.stack(rows)
+    _, centers = _grid(*mu.window[0], cells)
+    vals = _ball_average(mu, centers[:, None], np.array([s], dtype=float), extend=True)[:, 0]
     return MeasureField(n=1, window=mu.window, density=vals, atoms=(), dim=mu.dim)
 
 
@@ -483,13 +455,10 @@ def scenario_smooth_localization(eps_list=(0.2, 0.1, 0.05, 0.025), cells: int = 
     probes in [-1, 1] stay inside; both the L1 distance and the area gap
     vanish along eps.  Returns (fields, limit) for area_vs_l1.
     """
-    from nlops.weights import annulus
-
     dens = lambda t: np.cos(pi * t)
     limit = from_density_fn((-1.0, 1.0), cells, dens)
     carrier = from_density_fn((-2.0, 2.0), 4 * cells, dens)
-    edges = np.linspace(-1.0, 1.0, cells + 1)
-    centers = 0.5 * (edges[:-1] + edges[1:])
+    _, centers = _grid(-1.0, 1.0, cells)
     out = []
     for eps in eps_list:
         w = annulus(eps)
@@ -505,8 +474,7 @@ def scenario_atom_spread(s_list=(0.2, 0.1, 0.05), cells: int = 800):
     area gap does not vanish either; area_vs_l1 must report agreement.
     Returns (fields, limit).
     """
-    edges = np.linspace(-1.0, 1.0, cells + 1)
-    centers = 0.5 * (edges[:-1] + edges[1:])
+    _, centers = _grid(-1.0, 1.0, cells)
     out = []
     for s in s_list:
         vals = np.where(np.abs(centers) < s, 1.0 / (2.0 * s), 0.0)[:, None]

@@ -133,6 +133,32 @@ class TestExitStatuses:
         assert capsys.readouterr().err.startswith("CONFIG ERROR")
         assert not list(tmp_path.glob("*.csv"))
 
+    @pytest.mark.parametrize(
+        "subcommand,section,key,value",
+        [
+            ("multiplier", "multiplier", "xi_count", "0"),
+            ("multiplier", "multiplier", "xi_min", "-1"),
+            ("multiplier", "multiplier", "xi_list", "0.5 0.1"),
+            ("bessel", "bessel", "t_min", "-1"),
+            ("bessel", "bessel", "alpha", "abc"),
+            ("zeros", "zeros", "alpha", "-3"),
+            ("zeros", "zeros", "count", "x"),
+            ("kernel-check", "kernel", "s", "0"),
+            ("witness", "witness", "m", "0"),
+            ("witness", "witness", "s", "-1"),
+            ("atomic-demo", "atomic", "s", "0"),
+        ],
+        ids=lambda v: v.replace(" ", "_"),
+    )
+    def test_bad_value_is_config_error(self, tmp_path, capsys, subcommand, section, key, value):
+        # an out-of-range or unreadable value is a configuration error that
+        # names its section and key, not a numerical failure
+        cfg = write_config(tmp_path, f"[{section}]\n{key} = {value}\n")
+        assert run(tmp_path, subcommand, "--config", cfg) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("CONFIG ERROR")
+        assert f"[{section}] {key}" in err
+
     @pytest.mark.parametrize("threads", ["0", "-4"])
     def test_nonpositive_threads(self, tmp_path, capsys, threads):
         assert run(tmp_path, "zeros", "--threads", threads) == 2

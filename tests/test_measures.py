@@ -17,6 +17,8 @@ from nlops.measures import (
     MeasureField,
     PiecewiseBV,
     WindowExitError,
+    _ball_average,
+    _radial_boundaries,
     _spherical_field_1d,
     abs_integrand,
     area_convergence_table,
@@ -39,7 +41,25 @@ from nlops.measures import (
     trig_bv,
     zero_measure,
 )
-from nlops.weights import annulus, bump, normalize
+from nlops.quadrature import panel_rule
+from nlops.weights import annulus, bump, normalize, truncation_radius
+
+
+def reference_ball_integral_2d(mu, s, x):
+    """mu(B_s(x)) in 2D for one radius: density cells counted by their
+    centres, atoms by distance, one radius at a time."""
+    out = np.zeros(mu.dim)
+    if mu.density is not None:
+        ex = np.linspace(mu.window[0, 0], mu.window[0, 1], mu.density.shape[0] + 1)
+        ey = np.linspace(mu.window[1, 0], mu.window[1, 1], mu.density.shape[1] + 1)
+        cx = 0.5 * (ex[:-1] + ex[1:])
+        cy = 0.5 * (ey[:-1] + ey[1:])
+        dist2 = (cx[:, None] - x[0]) ** 2 + (cy[None, :] - x[1]) ** 2
+        out += mu.density[dist2 < s**2].sum(axis=0) * mu.cell_volume()
+    for loc, weight in mu.atoms:
+        if sqrt((loc[0] - x[0]) ** 2 + (loc[1] - x[1]) ** 2) < s:
+            out += weight
+    return out
 
 
 class TestBallAverages:
@@ -47,6 +67,9 @@ class TestBallAverages:
         mu = dirac((-1.0, 1.0), 0.0, 2.0)
         assert abs(spherical_of_measure(mu, 0.4, 0.1)[0] - 2.0 / 0.8) < 1e-14
         assert spherical_of_measure(mu, 0.2, 0.7)[0] == 0.0
+
+    def test_one_dimensional_volume_is_exactly_twice_the_radius(self):
+        assert spherical_of_measure(dirac((-1, 1), 0.0, 2.0), 0.25, 0.1)[0] == 4.0
 
     def test_uniform_density_average_is_identity(self):
         mu = from_density_fn((-1.0, 1.0), 500, lambda t: np.full_like(t, 1.7))
@@ -82,6 +105,45 @@ class TestBallAverages:
     def test_two_dimensional_atom_average(self):
         mu = MeasureField(n=2, window=[[-4, 4], [-4, 4]], density=None, atoms=(((0.0, 0.0), (3.0,)),), dim=1)
         assert abs(spherical_of_measure(mu, 0.5, (0.1, 0.0))[0] - 3.0 / (pi * 0.25)) < 1e-12
+
+
+class TestOneKernel:
+    """Every route reads the same ball-average kernel; these compare it bit
+    for bit against per-radius and per-probe loops."""
+
+    PROBES = ((0.0123, -0.031), (0.3377, 0.2461), (-0.4519, 0.1187), (0.1043, -0.1721))
+    # unit density, and one whose sums depend on the summation order
+    DENSITIES = (np.ones((200, 200, 1)), np.cos(np.arange(200.0))[:, None, None] * np.sin(np.arange(200.0))[None, :, None])
+
+    @pytest.mark.parametrize("density", DENSITIES, ids=["unit", "cos-sin"])
+    def test_2d_spherical_matches_centre_count_loop(self, density):
+        mu = MeasureField(n=2, window=[[-1, 1], [-1, 1]], density=density, atoms=(((0.1, -0.2), (1.5,)),))
+        for x in map(np.array, self.PROBES):
+            for s in np.linspace(0.011, 0.4, 13):
+                want = reference_ball_integral_2d(mu, s, x) / (pi * (s * s))
+                assert np.array_equal(spherical_of_measure(mu, s, x), want)
+
+    @pytest.mark.parametrize("density", DENSITIES, ids=["unit", "cos-sin"])
+    def test_2d_radial_matches_per_node_loop(self, density):
+        mu = MeasureField(n=2, window=[[-1, 1], [-1, 1]], density=density, atoms=(((0.1, -0.2), (1.5,)),))
+        w = normalize(bump(2, 0.3))
+        for x in map(np.array, self.PROBES):
+            nodes, wts = panel_rule(_radial_boundaries(mu, w, x, truncation_radius(w)), 8)
+            sph = np.stack([reference_ball_integral_2d(mu, float(r), x) for r in nodes])
+            sph /= (pi * nodes**2)[:, None]
+            want = np.einsum("k,k,kd->d", wts, 2 * pi * nodes * w.profile(nodes), sph)
+            assert np.array_equal(radial_of_measure(mu, w, x), want)
+
+    def test_1d_field_matches_per_probe_loop(self):
+        carrier = from_density_fn((-1.0, 1.0), 250, lambda t: np.cos(3 * t) + t)
+        mu = MeasureField(
+            n=1, window=[[-1, 1]], density=carrier.density, atoms=(((0.1037,), (1.0,)), ((-0.52,), (-0.4,)))
+        )
+        s, cells = 0.1, 333
+        edges = np.linspace(-1.0, 1.0, cells + 1)
+        centers = 0.5 * (edges[:-1] + edges[1:])
+        want = np.stack([_ball_average(mu, np.array([c]), np.array([s]), extend=True)[0] for c in centers])
+        assert np.array_equal(_spherical_field_1d(mu, s, cells).density, want)
 
 
 class TestRadialOfMeasure:
