@@ -3,8 +3,9 @@
 The evaluator switches between three branches of real order alpha >= 0:
 
 * ascending series for t < max(8, 2*alpha),
-* Gauss-Jacobi quadrature of the Poisson integral representation for
-  intermediate t,
+* the Poisson integral representation for intermediate t, summed with the
+  shared Gauss-Jacobi rule ``quadrature.gauss_jacobi(POISSON_ORDER,
+  alpha - 1/2)``,
 * the Hankel asymptotic expansion for t > 30 + alpha**2.
 
 The windows overlap generously and branch consistency is part of the test
@@ -24,7 +25,8 @@ from dataclasses import dataclass
 from math import gamma, pi
 
 import numpy as np
-from scipy.special import roots_jacobi
+
+from nlops.quadrature import gauss_jacobi
 
 #: Gauss-Jacobi order for the Poisson representation branch.  Order 80
 #: resolves cos(t*s) with |t| <= 31 to machine accuracy with a wide margin.
@@ -68,17 +70,11 @@ def _series(alpha: float, t: np.ndarray) -> np.ndarray:
     return out
 
 
-_jacobi_cache: dict[tuple[float, int], tuple[np.ndarray, np.ndarray]] = {}
-
-
 def _poisson(alpha: float, t: np.ndarray, order: int = POISSON_ORDER) -> np.ndarray:
     # Poisson representation: J_alpha(t) = (t/2)^alpha / (Gamma(alpha+1/2)
     # Gamma(1/2)) * int_{-1}^{1} cos(t s) (1-s^2)^(alpha-1/2) ds, evaluated
     # with the Gauss-Jacobi rule matching the (1-s^2)^(alpha-1/2) weight.
-    key = (alpha, order)
-    if key not in _jacobi_cache:
-        _jacobi_cache[key] = roots_jacobi(order, alpha - 0.5, alpha - 0.5)
-    x, w = _jacobi_cache[key]
+    x, w = gauss_jacobi(order, alpha - 0.5)
     pref = (t / 2.0) ** alpha / (gamma(alpha + 0.5) * gamma(0.5))
     return pref * (np.cos(np.multiply.outer(t, x)) @ w)
 

@@ -15,7 +15,7 @@ import argparse
 import configparser
 import sys
 from dataclasses import dataclass, field
-from math import log, pi
+from math import isfinite, log, pi
 from pathlib import Path
 from typing import Optional
 
@@ -101,8 +101,8 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be nonempty")
             if any(b >= a for a, b in zip(lst, lst[1:])):
                 raise ConfigError(f"{name} must be strictly decreasing, got {lst}")
-            if any(x <= 0 for x in lst):
-                raise ConfigError(f"{name} entries must be positive, got {lst}")
+            if not all(isfinite(x) and x > 0 for x in lst):
+                raise ConfigError(f"{name} entries must be finite and positive, got {lst}")
         preset = self.operator.get("preset")
         if preset is not None and preset not in operators.PRESETS:
             raise ConfigError(
@@ -140,10 +140,13 @@ def _parse_ints(text: str) -> tuple:
 
 
 #: (convert, check, description) of the value kinds that _setting reads.
-NUMBER = (float, lambda v: True, "a number")
-NONNEGATIVE = (float, lambda v: v >= 0, "a number >= 0")
-POSITIVE = (float, lambda v: v > 0, "a positive number")
+NUMBER = (float, isfinite, "a finite number")
+NONNEGATIVE = (float, lambda v: isfinite(v) and v >= 0, "a finite number >= 0")
+POSITIVE = (float, lambda v: isfinite(v) and v > 0, "a finite positive number")
 COUNT = (int, lambda k: k >= 1, "an integer >= 1")
+
+#: Operator dimensions with sphere rules (``quadrature.sphere_quadrature``).
+DIMENSIONS = (1, 2, 3)
 
 
 def _setting(cfg: ExperimentConfig, section: str, key: str, default, kind=NUMBER):
@@ -167,33 +170,36 @@ def build_operator(cfg: ExperimentConfig) -> operators.FirstOrderOperator:
     section = cfg.operator
     if "file" in section:
         try:
-            return operators.from_text_file(section["file"])
-        except OSError as exc:
+            op = operators.from_text_file(section["file"])
+        except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read operator file: {exc}")
-    name = section.get("preset", "derivative")
-    n = int(section.get("n", 1))
-    try:
-        return operators.preset(name, n)
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(str(exc))
+    else:
+        name = section.get("preset", "derivative")
+        n = _setting(cfg, "operator", "n", 1, COUNT)
+        try:
+            op = operators.preset(name, n)
+        except (KeyError, ValueError) as exc:
+            raise ConfigError(str(exc))
+    if op.n not in DIMENSIONS:
+        raise ConfigError(f"operator dimension n must be one of {DIMENSIONS}, got {op.n}")
+    return op
 
 
 def build_weight(cfg: ExperimentConfig) -> weights.RadialWeight:
     section = dict(cfg.weight)
     name = section.pop("preset", "gaussian")
     normalize = section.pop("normalize", "yes").lower() in ("1", "yes", "true")
-    kwargs = {}
-    for key, val in section.items():
-        try:
-            kwargs[key] = int(val) if key == "n" else float(val)
-        except ValueError:
-            raise ConfigError(f"weight parameter {key}={val!r} is not numeric")
+    kwargs = {key: _setting(cfg, "weight", key, None, COUNT if key == "n" else NUMBER) for key in section}
     try:
         w = weights.WEIGHT_PRESETS[name](**kwargs)
     except KeyError:
         raise ConfigError(f"unknown weight preset {name!r}")
     except TypeError as exc:
         raise ConfigError(f"bad parameters for weight preset {name!r}: {exc}")
+    except weights.WeightError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"[weight] preset {name!r}: {exc}")
     return weights.normalize(w) if normalize else w
 
 
@@ -228,8 +234,9 @@ def build_field(cfg: ExperimentConfig, op: operators.FirstOrderOperator, rng) ->
         return fields.trig_field_from_coeffs(op.n, cfg.N, op.dim_v, terms)
     kind = section.get("kind", "default")
     if kind == "random":
-        deg = int(section.get("max_degree", 3))
-        num = int(section.get("num_terms", 6))
+        below_nyquist = (int, lambda k: 1 <= k < cfg.N // 2, f"an integer in [1, {cfg.N // 2 - 1}]")
+        deg = _setting(cfg, "field", "max_degree", 3, below_nyquist)
+        num = _setting(cfg, "field", "num_terms", 6, COUNT)
         return fields.random_trig_field(op.n, cfg.N, op.dim_v, rng, max_degree=deg, num_terms=num)
     if kind != "default":
         raise ConfigError(f"unknown field kind {kind!r}")
@@ -311,14 +318,15 @@ def cmd_zeros(cfg: ExperimentConfig, out: Path, rng) -> tuple[int, str]:
 def cmd_multiplier(cfg: ExperimentConfig, out: Path, rng) -> tuple[int, str]:
     w = build_weight(cfg)
     if "xi_list" in cfg.sections.get("multiplier", {}):
-        ascending = lambda xs: 0 < len(xs) and 0 <= xs[0] and list(xs) == sorted(xs)
-        kind = (_parse_floats, ascending, "an ascending list of numbers >= 0")
+        ascending = lambda xs: 0 < len(xs) and all(map(isfinite, xs)) and 0 <= xs[0] and list(xs) == sorted(xs)
+        kind = (_parse_floats, ascending, "an ascending list of finite numbers >= 0")
         grid = np.asarray(_setting(cfg, "multiplier", "xi_list", "", kind))
     else:
         # default window chosen so the default (gaussian) multiplier stays
         # above double-precision resolution over the whole grid
         lo = _setting(cfg, "multiplier", "xi_min", 0.0, NONNEGATIVE)
-        hi = _setting(cfg, "multiplier", "xi_max", 1.2, (float, lambda x: x >= lo, "a number >= xi_min"))
+        above_lo = (float, lambda x: isfinite(x) and x >= lo, "a finite number >= xi_min")
+        hi = _setting(cfg, "multiplier", "xi_max", 1.2, above_lo)
         count = _setting(cfg, "multiplier", "xi_count", 51, COUNT)
         grid = np.linspace(lo, hi, count)
     vals, errs = weights.mu_hat_scan(w, grid)

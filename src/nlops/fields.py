@@ -371,6 +371,8 @@ def random_trig_field(
     """
     if max_degree >= N // 2:
         raise ValueError("max_degree must stay below the Nyquist row")
+    if max_degree < 1:
+        raise ValueError("max_degree must be >= 1: the zero frequency is never drawn")
     terms = []
     for _ in range(num_terms):
         while True:

@@ -1,5 +1,11 @@
 """Quadrature rules shared across the package.
 
+Every Gauss rule comes from ``gauss_jacobi(order, a)``, the Gauss rule for
+the weight (1 - x^2)^a on [-1, 1], built once per (order, a): Golub-Welsch
+eigenvalues of the Jacobi matrix, one Newton step on the orthonormal
+three-term recurrence, Christoffel weights, and symmetrisation.  Legendre is
+a = 0; the Poisson branch of ``bessel.bessel_j`` uses a = alpha - 1/2.
+
 Sphere rules return nodes on the unit sphere S^{n-1} together with surface
 weights summing to the total surface measure (2 points of weight 1 in n=1,
 circumference 2*pi in n=2, area 4*pi in n=3).  Radial rules are composite
@@ -8,8 +14,71 @@ Gauss-Legendre panels on intervals of (0, infinity).
 
 from __future__ import annotations
 
+from math import exp, lgamma, pi, sqrt
+
 import numpy as np
-from scipy.special import roots_legendre
+
+_gauss_rules: dict[tuple[int, float], tuple[np.ndarray, np.ndarray]] = {}
+
+
+def gauss_jacobi(order: int, a: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss rule for the weight (1 - x^2)^a on [-1, 1], a > -1.
+
+    Returns read-only (nodes, weights), nodes ascending and symmetric about 0,
+    weights summing to sqrt(pi) Gamma(a+1) / Gamma(a+3/2).  Exact for
+    polynomials of degree < 2 * order; memoized per (order, a).
+
+    Golub & Welsch, Math. Comp. 23 (1969): the nodes are the eigenvalues of
+    the symmetric Jacobi matrix with off-diagonal sqrt(beta_k),
+    beta_k = k (k + 2a) / (4 (k + a)^2 - 1) and beta_1 = 1 / (3 + 2a).  Each
+    node then takes one Newton step on the orthonormal recurrence (Hale &
+    Townsend, SIAM J. Sci. Comput. 35 (2013)), and its weight is the
+    Christoffel number 1 / sum_k p_k(x)^2.
+    """
+    key = (int(order), float(a))
+    if key not in _gauss_rules:
+        _gauss_rules[key] = _golub_welsch(*key)
+    return _gauss_rules[key]
+
+
+def _golub_welsch(order: int, a: float) -> tuple[np.ndarray, np.ndarray]:
+    if order < 1:
+        raise ValueError("Gauss rule order must be >= 1")
+    if not a > -1.0:
+        raise ValueError(f"Gauss-Jacobi exponent must exceed -1, got {a}")
+    k = np.arange(2.0, order + 1.0)
+    beta = np.concatenate(([1.0 / (3.0 + 2.0 * a)], k * (k + 2.0 * a) / (4.0 * (k + a) ** 2 - 1.0)))
+    b = np.sqrt(beta)  # b[k-1] couples p_{k-1} and p_k
+    x = np.linalg.eigvalsh(np.diag(b[:-1], 1) + np.diag(b[:-1], -1))
+    mu0 = sqrt(pi) * exp(lgamma(a + 1.0) - lgamma(a + 1.5))
+
+    def recurrence(x):
+        # orthonormal p_k and p_k' by x p_k = b_{k+1} p_{k+1} + b_k p_{k-1};
+        # returns p_order, p_order' and sum_{k < order} p_k^2
+        p_prev, p = np.zeros_like(x), np.full_like(x, 1.0 / sqrt(mu0))
+        d_prev, d = np.zeros_like(x), np.zeros_like(x)
+        squares = p * p
+        for j in range(order):
+            b_prev = b[j - 1] if j else 0.0
+            p_prev, p, d_prev, d = (
+                p,
+                (x * p - b_prev * p_prev) / b[j],
+                d,
+                (p + x * d - b_prev * d_prev) / b[j],
+            )
+            if j < order - 1:
+                squares += p * p
+        return p, d, squares
+
+    p, d, _ = recurrence(x)
+    x = x - p / d
+    _, _, squares = recurrence(x)
+    w = 1.0 / squares
+    x = 0.5 * (x - x[::-1])
+    w = 0.5 * (w + w[::-1])
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
 
 
 def sphere_surface(n: int) -> float:
@@ -58,7 +127,7 @@ def sphere_quadrature(n: int, order: int) -> tuple[np.ndarray, np.ndarray]:
         weights = np.full(order, 2.0 * np.pi / order)
         return nodes, weights
     if n == 3:
-        z, wz = roots_legendre(order)
+        z, wz = gauss_jacobi(order)
         phi = 2.0 * np.pi * np.arange(2 * order) / (2 * order)
         r = np.sqrt(1.0 - z**2)
         nodes = np.stack(
@@ -72,9 +141,6 @@ def sphere_quadrature(n: int, order: int) -> tuple[np.ndarray, np.ndarray]:
         weights = np.repeat(wz * (2.0 * np.pi / (2 * order)), 2 * order)
         return nodes, weights
     raise ValueError(f"sphere quadrature supports n in {{1, 2, 3}}, got n={n}")
-
-
-_legendre_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
 def panel_rule(
@@ -91,9 +157,7 @@ def panel_rule(
         raise ValueError("need at least two panel boundaries")
     if np.any(np.diff(boundaries) <= 0):
         raise ValueError("panel boundaries must be strictly increasing")
-    if nodes_per_panel not in _legendre_cache:
-        _legendre_cache[nodes_per_panel] = roots_legendre(nodes_per_panel)
-    x, w = _legendre_cache[nodes_per_panel]
+    x, w = gauss_jacobi(nodes_per_panel)
     a = boundaries[:-1][:, None]
     b = boundaries[1:][:, None]
     nodes = 0.5 * (b - a) * x[None, :] + 0.5 * (a + b)

@@ -19,11 +19,10 @@ Shipped presets: ``fractional`` (indicator of the unit ball over |x|^(n-s)),
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from math import gamma, pi, sqrt
+from math import erfc, exp, pi, sqrt
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import gammaincc
 
 from nlops.bessel import bessel_j, unit_ball_volume
 from nlops.quadrature import graded_boundaries, panel_rule
@@ -411,6 +410,23 @@ def fractional(n: int, s: float) -> RadialWeight:
     )
 
 
+def _upper_gamma_half(n: int, x: float) -> float:
+    """Upper incomplete gamma function Gamma(n/2 + 1, x) for integer n >= 0, x >= 0.
+
+    Upward recurrence Gamma(s+1, x) = s Gamma(s, x) + x^s e^(-x) (DLMF 8.8.2)
+    from Gamma(1, x) = e^(-x) or Gamma(1/2, x) = sqrt(pi) erfc(sqrt(x))
+    (DLMF 8.4.6); every term is positive, so nothing cancels.
+    """
+    if n % 2:
+        s, value = 0.5, sqrt(pi) * erfc(sqrt(x))
+    else:
+        s, value = 1.0, exp(-x)
+    while s < n / 2.0 + 1.0:
+        value = s * value + x**s * exp(-x)
+        s += 1.0
+    return value
+
+
 def gaussian_modification(n: int, sigma: float) -> RadialWeight:
     """|x|^2 G_sigma(|x|) with G_sigma the 1D normal density (variance sigma^2).
 
@@ -429,15 +445,13 @@ def gaussian_modification(n: int, sigma: float) -> RadialWeight:
     def tail_exact(delta):
         # int_delta^inf n omega_n r^(n+1) G_sigma(r) dr via the upper
         # incomplete gamma function (exact, not just a bound)
-        shape = n / 2.0 + 1.0
         return (
             n
             * unit_ball_volume(n)
             * norm_c
             * sigma ** (n + 2)
             * 2.0 ** (n / 2.0)
-            * gammaincc(shape, delta**2 / (2.0 * sigma**2))
-            * gamma(shape)
+            * _upper_gamma_half(n, delta**2 / (2.0 * sigma**2))
         )
 
     # (2 sigma^2, sigma sqrt(2 pi)) per working precision: mp.quad raises the

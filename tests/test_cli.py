@@ -1,10 +1,15 @@
 """Command-line interface: exit statuses, CSV artifact format, and
 byte-level determinism."""
 
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import nlops
 from nlops.cli import ExperimentConfig, main, parse_terms
 
 SCI = re.compile(r"-?\d\.\d{16}e[+-]\d{2,3}$")
@@ -77,6 +82,15 @@ class TestSubcommandsRun:
         assert "discontinuous ball average" in capsys.readouterr().out
 
 
+def test_cli_import_leaves_scipy_out():
+    # scipy is a test-only dependency: the package builds its own Gauss rules
+    # and incomplete gamma function
+    probe = "import sys, nlops.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = dict(os.environ, PYTHONPATH=str(Path(nlops.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
+
+
 class TestExitStatuses:
     def test_increasing_eps_list_is_config_error(self, tmp_path):
         cfg = write_config(tmp_path, "[run]\neps_list = 0.05 0.1\n")
@@ -147,6 +161,9 @@ class TestExitStatuses:
             ("witness", "witness", "m", "0"),
             ("witness", "witness", "s", "-1"),
             ("atomic-demo", "atomic", "s", "0"),
+            ("kernel-check", "kernel", "s", "inf"),
+            ("bessel", "bessel", "t_max", "inf"),
+            ("multiplier", "multiplier", "xi_max", "inf"),
         ],
         ids=lambda v: v.replace(" ", "_"),
     )
@@ -158,6 +175,56 @@ class TestExitStatuses:
         err = capsys.readouterr().err
         assert err.startswith("CONFIG ERROR")
         assert f"[{section}] {key}" in err
+
+    @pytest.mark.parametrize(
+        "subcommand,text,names",
+        [
+            ("localize", "[field]\nkind = random\nnum_terms = 0\n", "[field] num_terms"),
+            ("localize", "[field]\nkind = random\nnum_terms = x\n", "[field] num_terms"),
+            ("localize", "[field]\nkind = random\nmax_degree = 0\n", "[field] max_degree"),
+            ("localize", "[field]\nkind = random\nmax_degree = 32\n", "[field] max_degree"),
+            ("multiplier", "[weight]\npreset = gaussian\nsigma = -1\n", "[weight]"),
+            ("multiplier", "[weight]\npreset = gaussian\nsigma = inf\n", "[weight] sigma"),
+        ],
+        ids=["num_terms-0", "num_terms-x", "max_degree-0", "max_degree-nyquist", "sigma-negative", "sigma-inf"],
+    )
+    def test_bad_field_or_weight_is_config_error(self, tmp_path, capsys, subcommand, text, names):
+        # a zero field must not pass vacuously, and a weight the preset
+        # rejects is a configuration error, not a numerical failure
+        cfg = write_config(tmp_path, text)
+        assert run(tmp_path, subcommand, "--config", cfg) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("CONFIG ERROR")
+        assert names in err
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_malformed_operator_file(self, tmp_path, capsys):
+        path = tmp_path / "op.txt"
+        path.write_text("2 1 2\n1 0\n")
+        cfg = write_config(tmp_path, f"[operator]\nfile = {path}\n")
+        assert run(tmp_path, "kernel-check", "--config", cfg) == 2
+        assert capsys.readouterr().err.startswith("CONFIG ERROR: cannot read operator file")
+
+    @pytest.mark.parametrize("subcommand,key", [("localize", "eps_list"), ("area", "s_list")])
+    def test_infinite_scale_is_config_error(self, tmp_path, capsys, subcommand, key):
+        cfg = write_config(tmp_path, f"[run]\n{key} = inf 0.1\n")
+        assert run(tmp_path, subcommand, "--config", cfg) == 2
+        assert capsys.readouterr().err.startswith(f"CONFIG ERROR: {key}")
+
+    @pytest.mark.parametrize("source", ["preset", "file"])
+    def test_unsupported_dimension_is_config_error(self, tmp_path, capsys, source):
+        # sphere rules exist for n = 1, 2, 3 only
+        if source == "preset":
+            operator = "preset = gradient\nn = 4"
+        else:
+            path = tmp_path / "op4.txt"
+            path.write_text("4 1 4\n1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n")
+            operator = f"file = {path}"
+        cfg = write_config(tmp_path, f"[operator]\n{operator}\n[run]\nn_grid = 4\n")
+        assert run(tmp_path, "kernel-check", "--config", cfg) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("CONFIG ERROR") and "dimension" in err
+        assert not list(tmp_path.glob("*.csv"))
 
     @pytest.mark.parametrize("threads", ["0", "-4"])
     def test_nonpositive_threads(self, tmp_path, capsys, threads):

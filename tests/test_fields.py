@@ -439,6 +439,11 @@ class TestConstruction:
         with pytest.raises(ValueError):
             random_trig_field(1, 16, 1, np.random.default_rng(0), max_degree=8)
 
+    def test_random_field_needs_a_nonzero_degree(self):
+        # degree 0 leaves only the zero frequency, which is never drawn
+        with pytest.raises(ValueError):
+            random_trig_field(1, 16, 1, np.random.default_rng(0), max_degree=0)
+
     def test_field_shape_validation(self):
         with pytest.raises(ValueError):
             TorusField(n=2, N=16, values=np.zeros((16, 8, 1)))

@@ -1,15 +1,18 @@
-"""Sphere rules: the vectorized n=3 product rule against its loop form."""
+"""Gauss rules against mpmath, and the vectorized n=3 sphere rule against its
+loop form."""
 
+from math import gamma, pi, sqrt
+
+import mpmath as mp
 import numpy as np
 import pytest
-from scipy.special import roots_legendre
 
-from nlops.quadrature import sphere_quadrature, sphere_surface
+from nlops.quadrature import gauss_jacobi, sphere_quadrature, sphere_surface
 
 
 def product_rule_loop(order):
     """Gauss-Legendre in the polar cosine times trapezoid in azimuth, node by node."""
-    z, wz = roots_legendre(order)
+    z, wz = gauss_jacobi(order)
     phi = 2.0 * np.pi * np.arange(2 * order) / (2 * order)
     r = np.sqrt(1.0 - z**2)
     nodes = np.empty((order * 2 * order, 3))
@@ -30,3 +33,47 @@ def test_three_dimensional_rule_matches_loop_bitwise(order):
     assert np.array_equal(nodes, want_nodes)
     assert np.array_equal(weights, want_weights)
     assert abs(np.sum(weights) - sphere_surface(3)) < 1e-12
+
+
+# Legendre (a = 0) at every order the package uses, and the Poisson rule of
+# bessel_j (a = alpha - 1/2) at POISSON_ORDER for alpha = 0 and 1.5
+RULES = [(order, 0.0) for order in (1, 2, 8, 16, 20, 32, 64, 80)] + [(80, -0.5), (80, 1.0)]
+
+
+@pytest.mark.parametrize("order,a", RULES, ids=[f"{o}-a{a:g}" for o, a in RULES])
+def test_gauss_jacobi_matches_mpmath(order, a):
+    with mp.workdps(40):
+        ref_x, ref_w = mp.gauss_quadrature(order, "jacobi", a, a)
+        ref = sorted((ref_x[i], ref_w[i]) for i in range(order))
+        x, w = gauss_jacobi(order, a)
+        node_err = [abs(mp.mpf(float(xi)) - rx) for xi, (rx, _) in zip(x, ref)]
+        weight_err = np.array([float(abs(mp.mpf(float(wi)) / rw - 1)) for wi, (_, rw) in zip(w, ref)])
+        mu0 = mp.sqrt(mp.pi) * mp.gamma(mp.mpf(a) + 1) / mp.gamma(mp.mpf(a) + 1.5)
+        sum_err = abs(mp.fsum(mp.mpf(float(wi)) for wi in w) / mu0 - 1)
+    assert max(node_err) <= 2e-16
+    # near +-1 a one-ulp node error alone moves the weight by about 1e-13
+    assert weight_err[np.abs(x) < 0.9].max(initial=0.0) <= 5e-15
+    assert weight_err.max() <= 2e-13
+    assert sum_err <= 1e-14
+
+
+def test_gauss_jacobi_is_built_once_and_read_only():
+    x, w = gauss_jacobi(16)
+    assert gauss_jacobi(16, 0.0)[0] is x
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+    with pytest.raises(ValueError):
+        w[0] = 1.0
+
+
+def test_gauss_jacobi_integrates_its_weight_exactly():
+    # int_{-1}^{1} x^2 (1 - x^2)^a dx = sqrt(pi) Gamma(a+1) / (2 Gamma(a+5/2))
+    for a in (0.0, 0.5, 1.5):
+        x, w = gauss_jacobi(5, a)
+        want = sqrt(pi) * gamma(a + 1.0) / (2.0 * gamma(a + 2.5))
+        assert abs(np.dot(w, x**2) - want) < 1e-15
+
+
+@pytest.mark.parametrize("order,a", [(0, 0.0), (4, -1.0)])
+def test_gauss_jacobi_rejects_bad_arguments(order, a):
+    with pytest.raises(ValueError):
+        gauss_jacobi(order, a)

@@ -4,6 +4,7 @@ independent sine-integral and arbitrary-precision oracles."""
 from dataclasses import replace
 from math import pi
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,6 +31,7 @@ from nlops.weights import (
     superposition_measure,
     tail,
     truncation_radius,
+    _upper_gamma_half,
 )
 
 
@@ -82,6 +84,18 @@ class TestTails:
         for delta in (0.5, 1.0, 2.0):
             # quadrature tail is itself truncated at the 1e-10 cutoff radius
             assert abs(tail(w, delta) - w.tail_bound(delta)) < 2e-10
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_upper_gamma_matches_mpmath(self, n):
+        # Gamma(n/2 + 1, x), the exact Gaussian tail, over the x = delta^2 /
+        # (2 sigma^2) that truncation_radius bisects through
+        xs = np.concatenate(([0.0], np.geomspace(1e-6, 400.0, 60)))
+        with mp.workdps(40):
+            errs = [
+                float(abs(mp.mpf(_upper_gamma_half(n, x)) / mp.gammainc(mp.mpf(n) / 2 + 1, float(x)) - 1))
+                for x in xs
+            ]
+        assert max(errs) <= 1e-15
 
     def test_truncation_radius_respects_support(self):
         assert truncation_radius(annulus(0.1)) == 0.2
