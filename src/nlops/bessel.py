@@ -32,6 +32,13 @@ from nlops.quadrature import gauss_jacobi
 #: resolves cos(t*s) with |t| <= 31 to machine accuracy with a wide margin.
 POISSON_ORDER = 80
 
+#: Rows of the (points x POISSON_ORDER) cosine buffer filled at once.  A
+#: multiple of 4, so each row's dot product with the Gauss weights takes the
+#: same BLAS kernel as in one unchunked single-threaded product, bit for
+#: bit; and small enough that OpenBLAS keeps each product on one thread, so
+#: the values do not depend on the BLAS thread count.
+POISSON_ROWS = 2**6
+
 #: Maximum number of ascending-series terms; the series is truncated earlier
 #: once terms fall below 1e-18 in magnitude.
 SERIES_MAX_TERMS = 60
@@ -76,7 +83,12 @@ def _poisson(alpha: float, t: np.ndarray, order: int = POISSON_ORDER) -> np.ndar
     # with the Gauss-Jacobi rule matching the (1-s^2)^(alpha-1/2) weight.
     x, w = gauss_jacobi(order, alpha - 0.5)
     pref = (t / 2.0) ** alpha / (gamma(alpha + 0.5) * gamma(0.5))
-    return pref * (np.cos(np.multiply.outer(t, x)) @ w)
+    flat = t.reshape(-1)
+    integral = np.empty_like(flat)
+    for i in range(0, flat.size, POISSON_ROWS):
+        phase = np.multiply.outer(flat[i : i + POISSON_ROWS], x)
+        integral[i : i + POISSON_ROWS] = np.cos(phase, out=phase) @ w
+    return pref * integral.reshape(t.shape)
 
 
 def _asymptotic(alpha: float, t: np.ndarray, kmax: int = 25) -> np.ndarray:

@@ -80,11 +80,8 @@ class ExperimentConfig:
         cfg.operator = cfg.sections.get("operator", {})
         cfg.weight = cfg.sections.get("weight", {})
         cfg.field_section = cfg.sections.get("field", {})
-        for key, val in cfg.sections.get("tolerance", {}).items():
-            try:
-                cfg.tolerances[key] = float(val)
-            except ValueError:
-                raise ConfigError(f"tolerance override {key!r} is not a number")
+        for key in cfg.sections.get("tolerance", {}):
+            cfg.tolerances[key] = _setting(cfg, "tolerance", key, None)
         cfg.validate()
         cfg.echo = tuple(
             (f"{sec}.{k}", v) for sec in sorted(cfg.sections) for k, v in sorted(cfg.sections[sec].items())
@@ -394,16 +391,15 @@ def cmd_kernel_check(cfg: ExperimentConfig, out: Path, rng) -> tuple[int, str]:
 
 def cmd_witness(cfg: ExperimentConfig, out: Path, rng) -> tuple[int, str]:
     op = build_operator(cfg)
-    sec = cfg.sections.get("witness", {})
     s = _setting(cfg, "witness", "s", 0.5, POSITIVE)
-    mvec = _setting(cfg, "witness", "m", "1", (_parse_ints, any, "a nonzero integer frequency"))
+    below_nyquist = lambda m: any(m) and max(map(abs, m)) < cfg.N // 2
+    frequency = (_parse_ints, below_nyquist, f"a nonzero integer frequency with entries below {cfg.N // 2}")
+    mvec = _setting(cfg, "witness", "m", "1", frequency)
     if len(mvec) != op.n:
         raise ConfigError(f"witness frequency {mvec} does not match operator dimension {op.n}")
-    if "v" in sec:
-        v = np.asarray(_parse_floats(sec["v"]))
-    else:
-        v = np.zeros(op.dim_v)
-        v[0] = 1.0
+    fits = lambda v: len(v) == op.dim_v and all(map(isfinite, v))
+    fiber = (_parse_floats, fits, f"{op.dim_v} finite number(s), one per fiber component")
+    v = np.asarray(_setting(cfg, "witness", "v", " ".join(["1"] + ["0"] * (op.dim_v - 1)), fiber))
     report = fields.kernel_witness(op, s, mvec, v, N=cfg.N)
     rows = [
         (

@@ -12,6 +12,7 @@ independent cross-checks of the multiplier routes.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from math import pi, sqrt
@@ -107,9 +108,33 @@ def frequency_grid(n: int, N: int) -> np.ndarray:
     return np.stack(axes, axis=-1)
 
 
-def _nyquist_mask(n: int, N: int) -> np.ndarray:
+@dataclass(frozen=True)
+class _Grid:
+    """Frequency facts of the N^n grid, shared by every spectral route.
+
+    ``m`` is the float frequency grid, ``norms`` holds |m|, ``nyquist`` marks
+    the frequencies on a Nyquist row, and ``shells``/``shell_of`` are
+    ``np.unique(norms, return_inverse=True)``.  All arrays are read-only.
+    """
+
+    m: np.ndarray
+    norms: np.ndarray
+    nyquist: np.ndarray
+    shells: np.ndarray
+    shell_of: np.ndarray
+
+
+@functools.lru_cache(maxsize=8)
+def _grid(n: int, N: int) -> _Grid:
+    """The frequency facts of the N^n grid, computed once per (n, N)."""
     m = frequency_grid(n, N)
-    return np.any(np.abs(m) == N // 2, axis=-1)
+    m_float = m.astype(float)
+    norms = np.sqrt(np.sum(m_float**2, axis=-1))
+    shells, shell_of = np.unique(norms, return_inverse=True)
+    grid = _Grid(m_float, norms, np.any(np.abs(m) == N // 2, axis=-1), shells, shell_of.reshape(norms.shape))
+    for arr in vars(grid).values():
+        arr.flags.writeable = False
+    return grid
 
 
 @dataclass(frozen=True)
@@ -140,12 +165,15 @@ def _local_hat(op: FirstOrderOperator, u: TorusField) -> np.ndarray:
     """Spectrum of the local operator output: 2 pi i A(m) uhat(m), Nyquist zeroed."""
     axes = tuple(range(u.n))
     uhat = np.fft.fftn(u.values, axes=axes)
-    m = frequency_grid(u.n, u.N)
+    grid = _grid(u.n, u.N)
     out = np.zeros(uhat.shape[:-1] + (op.dim_w,), dtype=complex)
+    term = np.empty_like(out)
     for i, a in enumerate(op.coeffs):
-        out += m[..., i : i + 1] * (uhat @ a.T)
+        # out += m_i * (uhat @ A_i^T), through one reused buffer
+        np.multiply(grid.m[..., i : i + 1], np.matmul(uhat, a.T, out=term), out=term)
+        out += term
     out *= 2j * pi
-    out[_nyquist_mask(u.n, u.N)] = 0.0
+    out[grid.nyquist] = 0.0
     return out
 
 
@@ -163,8 +191,7 @@ def apply_spherical_spectral(op: FirstOrderOperator, u: TorusField, s: float) ->
     if s <= 0:
         raise ValueError("scale s must be positive")
     axes = tuple(range(u.n))
-    m = frequency_grid(u.n, u.N)
-    norms = np.sqrt(np.sum(m.astype(float) ** 2, axis=-1))
+    norms = _grid(u.n, u.N).norms
     damp = ball_transform(u.n, s, norms.ravel()).reshape(norms.shape)
     vals = np.fft.ifftn(_local_hat(op, u) * damp[..., None], axes=axes).real
     return TorusField(n=u.n, N=u.N, values=vals)
@@ -184,7 +211,7 @@ def _direct_average(
     axes = tuple(range(u.n))
     uhat = np.fft.fftn(u.values, axes=axes)
     active = _active_spectrum(uhat)
-    m_active = frequency_grid(u.n, u.N)[active].astype(float)
+    m_active = _grid(u.n, u.N).m[active]
     nodes, wq = sphere_quadrature(u.n, quad_order)
     scaled = rweights / radii
     kernel = np.empty((len(m_active), u.n), dtype=complex)
@@ -239,19 +266,22 @@ def apply_radial_spectral(
     if w.n != u.n:
         raise ValueError(f"weight dimension {w.n} does not match field dimension {u.n}")
     axes = tuple(range(u.n))
-    m = frequency_grid(u.n, u.N)
-    norms = np.sqrt(np.sum(m.astype(float) ** 2, axis=-1))
+    grid = _grid(u.n, u.N)
     loc = _local_hat(op, u)
     # only frequencies carrying spectrum need a multiplier value
     active = _active_spectrum(loc)
     loc = np.where(active[..., None], loc, 0.0)
     cache = {} if mu_cache is None else mu_cache
-    shells, shell_of = np.unique(norms[active], return_inverse=True)
+    present = np.zeros(grid.shells.size, dtype=bool)
+    present[grid.shell_of[active]] = True
+    shells = grid.shells[present]
     missing = np.array([xi for xi in shells if xi not in cache])
     if missing.size:
         cache.update(zip(missing, _shell_multipliers(w, missing)))
-    damp = np.zeros_like(norms)
-    damp[active] = np.array([cache[xi] for xi in shells])[shell_of]
+    table = np.zeros(grid.shells.size)
+    table[present] = [cache[xi] for xi in shells]
+    damp = np.zeros_like(grid.norms)
+    damp[active] = table[grid.shell_of[active]]
     vals = np.fft.ifftn(loc * damp[..., None], axes=axes).real
     return TorusField(n=u.n, N=u.N, values=vals)
 
@@ -263,19 +293,20 @@ def _shell_multipliers(w: RadialWeight, xis: np.ndarray) -> list[float]:
     multiplier is entire and one Chebyshev interpolant on [0, max xi]
     resolves it to rounding.  The interpolant samples ``mu_hat`` at
     Chebyshev points of the second kind, degree 16, 32, 64, ...; the points
-    are nested, so each doubling evaluates only the new odd-indexed nodes.
-    A degree is accepted once its coefficients (a DCT-I of the samples) end
-    in a plateau below CHEB_CHOP.  Only degrees with fewer nodes than half
-    the shells are tried, so sparse spectra get one ``mu_hat`` call per
-    shell, exactly, and a dense spectrum that no allowed degree resolves
-    costs under 1.5 calls per shell.
+    are nested, so each doubling evaluates only the new odd-indexed nodes,
+    in one array call of ``mu_hat`` per tried degree (degree + 1 frequencies
+    in all for the accepted degree).  A degree is accepted once its
+    coefficients (a DCT-I of the samples) end in a plateau below CHEB_CHOP.
+    Only degrees with fewer nodes than half the shells are tried, so sparse
+    spectra get one scalar ``mu_hat`` call per shell, exactly, and a dense
+    spectrum that no allowed degree resolves falls back to the same
+    per-shell calls after under 0.5 frequencies per shell of tried degrees.
     """
     hi = float(xis[-1])
     degree, samples = 16, np.empty(0)
     while degree + 1 < xis.size / 2:
         fresh = np.arange(degree + 1) if samples.size == 0 else np.arange(1, degree, 2)
-        nodes = 0.5 * hi * (1.0 + np.cos(pi * fresh / degree))
-        values = np.array([mu_hat(w, float(t)) for t in nodes])
+        values = mu_hat(w, 0.5 * hi * (1.0 + np.cos(pi * fresh / degree)))
         # the previous degree's samples are the even-indexed nodes
         samples = np.insert(values, np.arange(samples.size), samples)
         # DCT-I through the real FFT of the even extension

@@ -164,6 +164,9 @@ class TestExitStatuses:
             ("kernel-check", "kernel", "s", "inf"),
             ("bessel", "bessel", "t_max", "inf"),
             ("multiplier", "multiplier", "xi_max", "inf"),
+            ("witness", "witness", "m", "32"),
+            ("witness", "witness", "v", "inf"),
+            ("witness", "witness", "v", "1 2 3"),
         ],
         ids=lambda v: v.replace(" ", "_"),
     )
@@ -196,6 +199,17 @@ class TestExitStatuses:
         err = capsys.readouterr().err
         assert err.startswith("CONFIG ERROR")
         assert names in err
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_nonfinite_tolerance_is_config_error(self, tmp_path, capsys, value):
+        # every comparison with nan is false, so a nan tolerance would turn
+        # a correct run into a numerical failure
+        cfg = write_config(tmp_path, f"[tolerance]\nwitness_sup = {value}\n")
+        assert run(tmp_path, "witness", "--config", cfg) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("CONFIG ERROR")
+        assert "[tolerance] witness_sup" in err
         assert not list(tmp_path.glob("*.csv"))
 
     def test_malformed_operator_file(self, tmp_path, capsys):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from nlops.bessel import ball_transform, bessel_j
 from nlops.fields import (
+    SPECTRUM_FLOOR,
     FrequencyMultiplier,
     TorusField,
     apply_local,
@@ -297,6 +298,80 @@ class TestShellTable:
         apply_radial_spectral(gradient(2), u, w, table)
         assert len(table) < len(calls) < 1.5 * len(table)
         assert all(val == mu_hat(w, float(xi)) for xi, val in table.items())
+
+
+    @pytest.mark.parametrize(
+        "w",
+        [normalize(bump(2, 0.3)), normalize(gaussian_modification(2, 0.1))],
+        ids=lambda w: w.name,
+    )
+    def test_dense_fill_calls_mu_hat_once_per_degree(self, w, monkeypatch):
+        sizes = []
+
+        def counted(w, xi):
+            assert np.ndim(xi) == 1
+            sizes.append(np.size(xi))
+            return mu_hat(w, xi)
+
+        monkeypatch.setattr("nlops.fields.mu_hat", counted)
+        rng = np.random.default_rng(31)
+        u = TorusField(n=2, N=64, values=rng.standard_normal((64, 64, 1)))
+        apply_radial_spectral(gradient(2), u, w, {})
+        # degree 16 takes its 17 nodes, each doubling only the new ones
+        assert sizes == [17] + [16 * 2**k for k in range(len(sizes) - 1)]
+        accepted = 16 * 2 ** (len(sizes) - 1)
+        assert sum(sizes) == accepted + 1
+
+
+def reference_local_hat(op, u):
+    """The local spectrum as computed before the grid facts were cached:
+    the integer frequency grid and the Nyquist mask rebuilt on every call."""
+    axes = tuple(range(u.n))
+    uhat = np.fft.fftn(u.values, axes=axes)
+    m = frequency_grid(u.n, u.N)
+    out = np.zeros(uhat.shape[:-1] + (op.dim_w,), dtype=complex)
+    for i, a in enumerate(op.coeffs):
+        out += m[..., i : i + 1] * (uhat @ a.T)
+    out *= 2j * pi
+    out[np.any(np.abs(m) == u.N // 2, axis=-1)] = 0.0
+    return out
+
+
+def reference_radial_spectral(op, u, cache):
+    """apply_radial_spectral as computed before the grid facts were cached,
+    reading every multiplier from a full ``cache``."""
+    axes = tuple(range(u.n))
+    m = frequency_grid(u.n, u.N)
+    norms = np.sqrt(np.sum(m.astype(float) ** 2, axis=-1))
+    loc = reference_local_hat(op, u)
+    mag = np.max(np.abs(loc), axis=-1)
+    active = mag > SPECTRUM_FLOOR * np.max(mag)
+    loc = np.where(active[..., None], loc, 0.0)
+    shells, shell_of = np.unique(norms[active], return_inverse=True)
+    damp = np.zeros_like(norms)
+    damp[active] = np.array([cache[xi] for xi in shells])[shell_of]
+    return np.fft.ifftn(loc * damp[..., None], axes=axes).real
+
+
+class TestGridFacts:
+    """The cached frequency facts give bit-identical outputs."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("spectrum", ["dense", "sparse"])
+    def test_warm_routes_match_per_call_grid_code(self, n, spectrum):
+        op, N, _ = TestRadial.CASES[n]
+        w = normalize(bump(n))
+        rng = np.random.default_rng(40 + n)
+        cache = {}
+        for _ in range(3):
+            if spectrum == "dense":
+                u = TorusField(n=n, N=N, values=rng.standard_normal((N,) * n + (op.dim_v,)))
+            else:
+                u = random_trig_field(n, N, op.dim_v, rng, max_degree=3)
+            got = apply_radial_spectral(op, u, w, cache)
+            assert np.array_equal(got.values, reference_radial_spectral(op, u, cache))
+            local = np.fft.ifftn(reference_local_hat(op, u), axes=tuple(range(n))).real
+            assert np.array_equal(apply_local(op, u).values, local)
 
 
 class TestLocalization:

@@ -13,6 +13,8 @@ from scipy.special import sici
 
 from nlops.bessel import ball_transform, unit_ball_volume
 from nlops.weights import (
+    MU_HAT_BLOCK,
+    PANEL_NODES,
     RadialWeight,
     WeightError,
     annulus,
@@ -31,6 +33,7 @@ from nlops.weights import (
     superposition_measure,
     tail,
     truncation_radius,
+    _multiplier,
     _upper_gamma_half,
 )
 
@@ -163,6 +166,46 @@ class TestMuHat:
             grid = np.linspace(0.0, 12.0, 60)
             vals, _ = mu_hat_scan(w, grid)
             assert np.max(np.abs(vals)) <= w.mass + 1e-9
+
+    @pytest.mark.parametrize(
+        "w",
+        [bump(n) for n in (1, 2, 3)]
+        + [normalize(gaussian_modification(n, 0.1)) for n in (1, 2, 3)]
+        + [fractional(n, 0.5) for n in (1, 2, 3)]
+        + [annulus(0.05)],
+        ids=lambda w: f"{w.name}-n{w.n}",
+    )
+    def test_array_matches_one_scalar_call_per_element(self, w):
+        # enough frequencies that the batched quadrature spans several
+        # bessel_j calls of MU_HAT_BLOCK nodes
+        xi = np.concatenate([[0.0], np.linspace(0.05, 60.0, 37), [0.0, 3.0]])
+        got = mu_hat(w, xi)
+        want = np.array([mu_hat(w, float(x)) for x in xi])
+        assert got.shape == xi.shape
+        assert got[0] == got[-2] == w.mass
+        assert np.max(np.abs(got - want)) <= 1e-15 * w.mass
+
+    def test_scalar_returns_float_and_arrays_keep_their_shape(self):
+        w = normalize(bump(2))
+        assert type(mu_hat(w, 1.5)) is float
+        assert type(mu_hat(w, np.float64(0.0))) is float
+        grid = np.array([[0.0, 1.0], [2.0, 3.0]])
+        assert mu_hat(w, grid).shape == (2, 2)
+
+    @pytest.mark.parametrize("xi", [-1.0, [0.5, -0.1], np.nan])
+    def test_negative_or_nan_frequency_rejected(self, xi):
+        with pytest.raises(ValueError):
+            mu_hat(normalize(bump(2)), xi)
+
+    def test_scan_error_is_the_rule_difference(self):
+        # the estimate is still the default rule against the half-order rule
+        w = normalize(gaussian_modification(2, 0.1))
+        grid = np.linspace(0.0, 30.0, 41)
+        vals, errs = mu_hat_scan(w, grid)
+        coarse = _multiplier(w, grid, PANEL_NODES // 2, MU_HAT_BLOCK)
+        assert np.array_equal(vals, mu_hat(w, grid))
+        assert errs[0] == 1e-8 * abs(vals[0])
+        assert np.array_equal(errs[1:], np.abs(vals[1:] - coarse[1:]) + 1e-15)
 
     def test_scan_error_estimates_cover_truth(self):
         w = annulus(0.07)
