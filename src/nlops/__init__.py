@@ -17,7 +17,7 @@ from nlops.operators import (
     scalar_derivative,
 )
 from nlops.weights import RadialWeight, ConcentratingFamily
-from nlops.fields import TorusField, FrequencyMultiplier
+from nlops.fields import TorusField
 from nlops.measures import MeasureField, AreaIntegrand
 
 __version__ = "0.1.0"
@@ -32,7 +32,6 @@ __all__ = [
     "RadialWeight",
     "ConcentratingFamily",
     "TorusField",
-    "FrequencyMultiplier",
     "MeasureField",
     "AreaIntegrand",
     "__version__",

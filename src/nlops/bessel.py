@@ -21,7 +21,6 @@ with G_r(0) = 1; a power-series branch keeps it continuous through q = 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gamma, pi
 
 import numpy as np
@@ -44,20 +43,7 @@ POISSON_ROWS = 2**6
 SERIES_MAX_TERMS = 60
 
 
-@dataclass(frozen=True)
-class BesselOrder:
-    """Validated nonnegative real order; half-integers n/2 are the main use."""
-
-    alpha: float
-
-    def __post_init__(self):
-        if self.alpha < 0:
-            raise ValueError(f"Bessel order must be nonnegative, got {self.alpha}")
-
-
 def _as_order(alpha) -> float:
-    if isinstance(alpha, BesselOrder):
-        return alpha.alpha
     a = float(alpha)
     if a < 0:
         raise ValueError(f"Bessel order must be nonnegative, got {a}")

@@ -81,6 +81,8 @@ class ExperimentConfig:
         cfg.weight = cfg.sections.get("weight", {})
         cfg.field_section = cfg.sections.get("field", {})
         for key in cfg.sections.get("tolerance", {}):
+            if key not in TOLERANCES:
+                raise ConfigError(f"[tolerance] {key} is not a tolerance; known: {', '.join(TOLERANCES)}")
             cfg.tolerances[key] = _setting(cfg, "tolerance", key, None)
         cfg.validate()
         cfg.echo = tuple(
@@ -110,6 +112,10 @@ class ExperimentConfig:
             raise ConfigError(
                 f"unknown weight preset {wpreset!r}; available: {sorted(weights.WEIGHT_PRESETS)}"
             )
+
+    def tolerance(self, key: str) -> float:
+        """The ``[tolerance]`` override of ``key``, or its TOLERANCES default."""
+        return self.tolerances.get(key, TOLERANCES[key])
 
     def p_value(self):
         return np.inf if self.p == "inf" else float(self.p)
@@ -141,6 +147,19 @@ NUMBER = (float, isfinite, "a finite number")
 NONNEGATIVE = (float, lambda v: isfinite(v) and v >= 0, "a finite number >= 0")
 POSITIVE = (float, lambda v: isfinite(v) and v > 0, "a finite positive number")
 COUNT = (int, lambda k: k >= 1, "an integer >= 1")
+SWITCH = (str.lower, lambda v: v in ("yes", "no", "true", "false", "1", "0"), "one of yes/no/true/false/1/0")
+
+#: Default of every ``[tolerance]`` key; an INI may override these and no
+#: others, and only the overrides are echoed into the CSV.
+TOLERANCES = {
+    "bessel_half": 1e-9,
+    "multiplier_bound": 1e-6,
+    "localize_monotone_slack": 0.05,
+    "witness_sup": 1e-8,
+    "linf_gap": 1e-9,
+    "gauss_green_jump": 1e-10,
+    "gauss_green_smooth": 1e-8,
+}
 
 #: Operator dimensions with sphere rules (``quadrature.sphere_quadrature``).
 DIMENSIONS = (1, 2, 3)
@@ -185,7 +204,8 @@ def build_operator(cfg: ExperimentConfig) -> operators.FirstOrderOperator:
 def build_weight(cfg: ExperimentConfig) -> weights.RadialWeight:
     section = dict(cfg.weight)
     name = section.pop("preset", "gaussian")
-    normalize = section.pop("normalize", "yes").lower() in ("1", "yes", "true")
+    section.pop("normalize", None)
+    normalize = _setting(cfg, "weight", "normalize", "yes", SWITCH) in ("yes", "true", "1")
     kwargs = {key: _setting(cfg, "weight", key, None, COUNT if key == "n" else NUMBER) for key in section}
     try:
         w = weights.WEIGHT_PRESETS[name](**kwargs)
@@ -289,7 +309,7 @@ def cmd_bessel(cfg: ExperimentConfig, out: Path, rng) -> tuple[int, str]:
     if alpha == 0.5:
         closed = np.sqrt(2.0 / (pi * t)) * np.sin(t)
         worst = float(np.max(np.abs(vals - closed)))
-        ok = worst < cfg.tolerances.get("bessel_half", 1e-9)
+        ok = worst < cfg.tolerance("bessel_half")
         return (0 if ok else 1), (
             f"{'PASS' if ok else 'FAIL'} bessel: max deviation from the half-order "
             f"closed form {worst:.3e}"
@@ -337,7 +357,7 @@ def cmd_multiplier(cfg: ExperimentConfig, out: Path, rng) -> tuple[int, str]:
         rows,
         [("weight", w.name), ("mass", _fmt(w.mass)), ("positivity", report.verdict)],
     )
-    bound = w.mass + cfg.tolerances.get("multiplier_bound", 1e-6)
+    bound = w.mass + cfg.tolerance("multiplier_bound")
     ok = float(np.max(np.abs(vals))) <= bound
     status = 0 if ok else 1
     line = (
@@ -358,7 +378,7 @@ def cmd_localize(cfg: ExperimentConfig, out: Path, rng) -> tuple[int, str]:
         raise ConfigError("localization family dimension does not match the operator")
     table = fields.localization_table(op, u, fam, cfg.p_value(), cfg.eps_list)
     write_csv(out / "localize.csv", "localize", cfg, ["eps", "lp_error"], table, [("family", fam.name), ("p", cfg.p)])
-    slack = 1.0 + cfg.tolerances.get("localize_monotone_slack", 0.05)
+    slack = 1.0 + cfg.tolerance("localize_monotone_slack")
     ok = all(b <= slack * a for (_, a), (_, b) in zip(table, table[1:]))
     last = table[-1][1]
     return (0 if ok else 1), (
@@ -420,7 +440,7 @@ def cmd_witness(cfg: ExperimentConfig, out: Path, rng) -> tuple[int, str]:
         rows,
         [("advisories", "; ".join(report.advisories) or "none")],
     )
-    tol = cfg.tolerances.get("witness_sup", 1e-8)
+    tol = cfg.tolerance("witness_sup")
     ok = report.sup_spherical < tol and report.sup_local > 1.0
     return (0 if ok else 1), (
         f"{'PASS' if ok else 'FAIL'} witness: sup|A_s u| = {report.sup_spherical:.3e}, "
@@ -430,7 +450,7 @@ def cmd_witness(cfg: ExperimentConfig, out: Path, rng) -> tuple[int, str]:
 
 def cmd_counterexample_linf(cfg: ExperimentConfig, out: Path, rng) -> tuple[int, str]:
     rows = []
-    floor = 1.0 - log(2.0) - cfg.tolerances.get("linf_gap", 1e-9)
+    floor = 1.0 - log(2.0) - cfg.tolerance("linf_gap")
     ok = True
     for eps in cfg.eps_list:
         gap = measures.linf_gap(eps)
@@ -446,8 +466,8 @@ def cmd_counterexample_linf(cfg: ExperimentConfig, out: Path, rng) -> tuple[int,
 
 def cmd_gauss_green(cfg: ExperimentConfig, out: Path, rng) -> tuple[int, str]:
     count = _setting(cfg, "gauss_green", "count", 100, COUNT)
-    tol_jump = cfg.tolerances.get("gauss_green_jump", 1e-10)
-    tol_smooth = cfg.tolerances.get("gauss_green_smooth", 1e-8)
+    tol_jump = cfg.tolerance("gauss_green_jump")
+    tol_smooth = cfg.tolerance("gauss_green_smooth")
     cases = {"heaviside": measures.heaviside_bv(), "trig": measures.trig_bv()}
     rows = []
     worst = {"heaviside": 0.0, "trig": 0.0}

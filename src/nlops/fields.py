@@ -5,9 +5,12 @@ vector fiber per grid point.  All operators act through the FFT with the
 convention u(x) = sum_m uhat(m) e^(2 pi i m . x) over integer frequencies,
 so the local operator is the multiplier 2 pi i A(m), the sphere-scale
 operator multiplies additionally by the ball transform at |m|, and the
-weighted radial operator by the weight's Bessel multiplier.  Direct
-(quadrature) evaluations of the averaged operators are provided as
-independent cross-checks of the multiplier routes.
+weighted radial operator by the weight's Bessel multiplier.  Both averaged
+operators are radial multipliers, so they share one route: a table over the
+frequency shells |m| that carry spectrum, filled by one call of the
+multiplier and scattered back before one inverse FFT.  Direct (quadrature)
+evaluations of the averaged operators are provided as independent
+cross-checks of the multiplier routes.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from math import pi, sqrt
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -137,21 +140,6 @@ def _grid(n: int, N: int) -> _Grid:
     return grid
 
 
-@dataclass(frozen=True)
-class FrequencyMultiplier:
-    """Tabulated scalar multiplier over the N^n frequency grid."""
-
-    n: int
-    N: int
-    table: np.ndarray
-
-    def apply(self, u: TorusField) -> TorusField:
-        axes = tuple(range(self.n))
-        uhat = np.fft.fftn(u.values, axes=axes)
-        out = np.fft.ifftn(uhat * self.table[..., None], axes=axes).real
-        return TorusField(n=self.n, N=self.N, values=out)
-
-
 def _check_compat(op: FirstOrderOperator, u: TorusField):
     if op.n != u.n:
         raise ValueError(f"operator dimension {op.n} does not match field dimension {u.n}")
@@ -185,16 +173,34 @@ def apply_local(op: FirstOrderOperator, u: TorusField) -> TorusField:
     return TorusField(n=u.n, N=u.N, values=vals)
 
 
+def _shell_average(op: FirstOrderOperator, u: TorusField, multiplier: Callable) -> TorusField:
+    """The local operator times a radial multiplier, through one shell table.
+
+    Frequencies below SPECTRUM_FLOOR are pruned from the local spectrum;
+    ``multiplier`` is called once, on the sorted |m| of the shells that
+    remain, and its values are scattered back through the grid's shell index
+    before one inverse FFT.
+    """
+    grid = _grid(u.n, u.N)
+    loc = _local_hat(op, u)
+    active = _active_spectrum(loc)
+    present = np.zeros(grid.shells.size, dtype=bool)
+    present[grid.shell_of[active]] = True
+    table = np.zeros(grid.shells.size)
+    table[present] = multiplier(grid.shells[present])
+    # zero the pruned dust first, so its products are exact +0.0
+    loc[~active] = 0.0
+    loc *= np.where(active, table[grid.shell_of], 0.0)[..., None]
+    vals = np.fft.ifftn(loc, axes=tuple(range(u.n))).real
+    return TorusField(n=u.n, N=u.N, values=vals)
+
+
 def apply_spherical_spectral(op: FirstOrderOperator, u: TorusField, s: float) -> TorusField:
     """Sphere-scale operator via its Fourier multiplier (ball transform damping)."""
     _check_compat(op, u)
     if s <= 0:
         raise ValueError("scale s must be positive")
-    axes = tuple(range(u.n))
-    norms = _grid(u.n, u.N).norms
-    damp = ball_transform(u.n, s, norms.ravel()).reshape(norms.shape)
-    vals = np.fft.ifftn(_local_hat(op, u) * damp[..., None], axes=axes).real
-    return TorusField(n=u.n, N=u.N, values=vals)
+    return _shell_average(op, u, lambda xis: ball_transform(u.n, s, xis))
 
 
 def _direct_average(
@@ -265,29 +271,19 @@ def apply_radial_spectral(
     _check_compat(op, u)
     if w.n != u.n:
         raise ValueError(f"weight dimension {w.n} does not match field dimension {u.n}")
-    axes = tuple(range(u.n))
-    grid = _grid(u.n, u.N)
-    loc = _local_hat(op, u)
-    # only frequencies carrying spectrum need a multiplier value
-    active = _active_spectrum(loc)
-    loc = np.where(active[..., None], loc, 0.0)
     cache = {} if mu_cache is None else mu_cache
-    present = np.zeros(grid.shells.size, dtype=bool)
-    present[grid.shell_of[active]] = True
-    shells = grid.shells[present]
-    missing = np.array([xi for xi in shells if xi not in cache])
-    if missing.size:
-        cache.update(zip(missing, _shell_multipliers(w, missing)))
-    table = np.zeros(grid.shells.size)
-    table[present] = [cache[xi] for xi in shells]
-    damp = np.zeros_like(grid.norms)
-    damp[active] = table[grid.shell_of[active]]
-    vals = np.fft.ifftn(loc * damp[..., None], axes=axes).real
-    return TorusField(n=u.n, N=u.N, values=vals)
+
+    def multiplier(shells: np.ndarray) -> list[float]:
+        missing = np.array([xi for xi in shells if xi not in cache])
+        if missing.size:
+            cache.update(zip(missing, _shell_multipliers(w, missing)))
+        return [cache[xi] for xi in shells]
+
+    return _shell_average(op, u, multiplier)
 
 
-def _shell_multipliers(w: RadialWeight, xis: np.ndarray) -> list[float]:
-    """``mu_hat(w, xi)`` for each of the sorted, nonnegative shells ``xis``.
+def _shell_multipliers(w: RadialWeight, xis: np.ndarray) -> np.ndarray:
+    """``mu_hat(w, xis)`` on the sorted, nonnegative shells ``xis``.
 
     Every shipped weight has compact support or is Gaussian, so its
     multiplier is entire and one Chebyshev interpolant on [0, max xi]
@@ -297,10 +293,9 @@ def _shell_multipliers(w: RadialWeight, xis: np.ndarray) -> list[float]:
     in one array call of ``mu_hat`` per tried degree (degree + 1 frequencies
     in all for the accepted degree).  A degree is accepted once its
     coefficients (a DCT-I of the samples) end in a plateau below CHEB_CHOP.
-    Only degrees with fewer nodes than half the shells are tried, so sparse
-    spectra get one scalar ``mu_hat`` call per shell, exactly, and a dense
-    spectrum that no allowed degree resolves falls back to the same
-    per-shell calls after under 0.5 frequencies per shell of tried degrees.
+    Only degrees with fewer nodes than half the shells are tried; otherwise,
+    as on sparse spectra, the shells take one ``mu_hat`` call, after under
+    0.5 frequencies per shell of tried degrees.
     """
     hi = float(xis[-1])
     degree, samples = 16, np.empty(0)
@@ -313,9 +308,9 @@ def _shell_multipliers(w: RadialWeight, xis: np.ndarray) -> list[float]:
         coeffs = np.fft.rfft(np.concatenate([samples, samples[-2:0:-1]])).real / degree
         coeffs[[0, -1]] /= 2.0
         if np.max(np.abs(coeffs[-CHEB_TAIL:])) <= CHEB_CHOP * np.max(np.abs(coeffs)):
-            return _clenshaw(coeffs, 2.0 * xis / hi - 1.0).tolist()
+            return _clenshaw(coeffs, 2.0 * xis / hi - 1.0)
         degree *= 2
-    return [mu_hat(w, float(xi)) for xi in xis]
+    return mu_hat(w, xis)
 
 
 def _clenshaw(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -10,10 +10,10 @@ oscillatory Bessel multiplier
 
 and the superposition measure n omega_n rhohat(r) r^(n-1) dr that expresses
 the radial operator as an average of sphere-scale operators.  ``mu_hat``
-takes one frequency or an array of them; an array call builds the same
-panels per frequency and evaluates the Bessel factor of all of them together,
-MU_HAT_BLOCK radial nodes per ``bessel_j`` call, which removes the per-call
-overhead of one quadrature per frequency.
+takes one frequency or an array of them; it builds the panels per frequency
+and evaluates the Bessel factor of all of them together, MU_HAT_BLOCK radial
+nodes per ``bessel_j`` call, which removes the per-call overhead of one
+quadrature per frequency.
 
 Shipped presets: ``fractional`` (indicator of the unit ball over |x|^(n-s)),
 ``gaussian`` (|x|^2 times a normal density), ``annulus`` (uniform on
@@ -266,18 +266,18 @@ def _mu_hat_panels(w: RadialWeight, xi: float, nodes_per_panel: int) -> list[tup
     return blocks
 
 
-def _mu_hat_quad(w: RadialWeight, xis: np.ndarray, nodes_per_panel: int, budget: int) -> np.ndarray:
+def _mu_hat_quad(w: RadialWeight, xis: np.ndarray, nodes_per_panel: int) -> np.ndarray:
     """Panel quadrature of the oscillatory multiplier integral at each xi > 0.
 
     Consecutive panel blocks, across frequencies, share one integrand and
-    ``bessel_j`` evaluation of at most ``budget`` radial nodes (a block is
-    never split, so ``budget = 0`` evaluates each block on its own).  Each
-    frequency's total is the sum of its per-block sums, in block order.
+    ``bessel_j`` evaluation of at most MU_HAT_BLOCK radial nodes (a block is
+    never split).  Each frequency's total is the sum of its per-block sums,
+    in block order.
     """
     half = w.n / 2.0
     totals = [0.0] * len(xis)
     blocks = ((i, r, q) for i, xi in enumerate(xis) for r, q in _mu_hat_panels(w, xi, nodes_per_panel))
-    for group in _node_groups(blocks, budget):
+    for group in _node_groups(blocks):
         r = np.concatenate([r for _, r, _ in group])
         freq = np.concatenate([np.full(r.size, xis[i]) for i, r, _ in group])
         vals = w.n * r ** (half - 1.0) * w.profile(r) * bessel_j(half, 2.0 * pi * r * freq)
@@ -288,12 +288,12 @@ def _mu_hat_quad(w: RadialWeight, xis: np.ndarray, nodes_per_panel: int, budget:
     return np.array([total / xi**half for total, xi in zip(totals, xis)])
 
 
-def _node_groups(blocks, budget: int):
+def _node_groups(blocks):
     """Consecutive ``(i, nodes, weights)`` blocks in lists of at most
-    ``budget`` nodes, or of one block where that alone exceeds it."""
+    MU_HAT_BLOCK nodes, or of one block where that alone exceeds it."""
     group, size = [], 0
     for block in blocks:
-        if group and size + block[1].size > budget:
+        if group and size + block[1].size > MU_HAT_BLOCK:
             yield group
             group, size = [], 0
         group.append(block)
@@ -302,13 +302,13 @@ def _node_groups(blocks, budget: int):
         yield group
 
 
-def _multiplier(w: RadialWeight, xis: np.ndarray, nodes_per_panel: int, budget: int) -> np.ndarray:
+def _multiplier(w: RadialWeight, xis: np.ndarray, nodes_per_panel: int) -> np.ndarray:
     """mu_hat at each entry of ``xis`` with the given panel rule: the mass at 0."""
     if not np.all(np.isfinite(xis) & (xis >= 0.0)):
         raise ValueError("frequency magnitude must be finite and nonnegative")
     out = np.full(xis.shape, w.mass)
     positive = xis > 0.0
-    out[positive] = _mu_hat_quad(w, xis[positive], nodes_per_panel, budget)
+    out[positive] = _mu_hat_quad(w, xis[positive], nodes_per_panel)
     return out
 
 
@@ -318,16 +318,13 @@ def mu_hat(w: RadialWeight, xi_norm):
     At zero frequency the value is the weight's mass (exactly 1 for
     normalized weights, up to the 1e-8 mass quadrature tolerance).  The
     quadrature uses panels no wider than 1/(4 xi) so each panel sees at most
-    a quarter period of the Bessel oscillation.  A scalar returns a float and
-    evaluates each panel block on its own; an array evaluates the blocks of
-    all its frequencies together, MU_HAT_BLOCK radial nodes per
-    ``bessel_j`` call, on the same panels, so its values match one scalar
-    call per element up to the last bits of the Bessel sums.
+    a quarter period of the Bessel oscillation.  The panel blocks of all the
+    given frequencies are evaluated together, MU_HAT_BLOCK radial nodes per
+    ``bessel_j`` call; a scalar is a one-element array and returns a float.
     """
     xi = np.asarray(xi_norm, dtype=float)
-    if xi.ndim == 0:
-        return float(_multiplier(w, xi, PANEL_NODES, 0))
-    return _multiplier(w, xi, PANEL_NODES, MU_HAT_BLOCK)
+    out = _multiplier(w, xi, PANEL_NODES)
+    return float(out) if xi.ndim == 0 else out
 
 
 def mu_hat_scan(w: RadialWeight, xi_grid) -> tuple[np.ndarray, np.ndarray]:
@@ -338,8 +335,8 @@ def mu_hat_scan(w: RadialWeight, xi_grid) -> tuple[np.ndarray, np.ndarray]:
     one batched evaluation over the whole grid.
     """
     xi_grid = np.asarray(xi_grid, dtype=float)
-    vals = _multiplier(w, xi_grid, PANEL_NODES, MU_HAT_BLOCK)
-    coarse = _multiplier(w, xi_grid, PANEL_NODES // 2, MU_HAT_BLOCK)
+    vals = _multiplier(w, xi_grid, PANEL_NODES)
+    coarse = _multiplier(w, xi_grid, PANEL_NODES // 2)
     errs = np.where(xi_grid == 0.0, 1e-8 * np.abs(vals), np.abs(vals - coarse) + 1e-15)
     return vals, errs
 

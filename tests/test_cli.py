@@ -212,6 +212,31 @@ class TestExitStatuses:
         assert "[tolerance] witness_sup" in err
         assert not list(tmp_path.glob("*.csv"))
 
+    def test_unknown_tolerance_is_config_error(self, tmp_path, capsys):
+        # a misspelled override would otherwise leave the default in force
+        cfg = write_config(tmp_path, "[tolerance]\nwitnes_sup = 0\n")
+        assert run(tmp_path, "witness", "--config", cfg) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("CONFIG ERROR")
+        assert "[tolerance] witnes_sup" in err
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_tolerance_override_is_read_and_echoed(self, tmp_path, capsys):
+        # the sphere-scale sup at the kernel scale is ~1e-16, above this bound
+        cfg = write_config(tmp_path, "[tolerance]\nwitness_sup = 1e-30\n")
+        assert run(tmp_path, "witness", "--config", cfg) == 1
+        text = (tmp_path / "witness.csv").read_text()
+        assert "# tolerance witness_sup = 1e-30\n" in text
+
+    @pytest.mark.parametrize("value", ["ys", "2", "on", ""])
+    def test_bad_normalize_is_config_error(self, tmp_path, capsys, value):
+        cfg = write_config(tmp_path, f"[weight]\npreset = bump\nn = 1\nnormalize = {value}\n")
+        assert run(tmp_path, "multiplier", "--config", cfg) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("CONFIG ERROR")
+        assert "[weight] normalize" in err
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_malformed_operator_file(self, tmp_path, capsys):
         path = tmp_path / "op.txt"
         path.write_text("2 1 2\n1 0\n")
@@ -315,3 +340,11 @@ class TestConfigParsing:
         path = tmp_path / "c.ini"
         path.write_text("[run]\nn_grid = 32  # keep it small\n")
         assert ExperimentConfig.from_ini(str(path)).N == 32
+
+    @pytest.mark.parametrize(
+        "value,name", [("No", "bump"), ("0", "bump"), ("TRUE", "bump/normalized"), ("Yes", "bump/normalized")]
+    )
+    def test_normalize_switch_is_case_insensitive(self, tmp_path, value, name):
+        cfg = write_config(tmp_path, f"[weight]\npreset = bump\nn = 1\nnormalize = {value}\n")
+        assert run(tmp_path, "multiplier", "--config", cfg) == 0
+        assert f"# weight = {name}\n" in (tmp_path / "multiplier.csv").read_text()

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from nlops.bessel import ball_transform, bessel_j
 from nlops.fields import (
     SPECTRUM_FLOOR,
-    FrequencyMultiplier,
     TorusField,
     apply_local,
     apply_radial_direct,
@@ -123,8 +122,39 @@ class TestSpherical:
         u = random_trig_field(n, N, 1, np.random.default_rng(3))
         norms = np.sqrt(np.sum(frequency_grid(n, N).astype(float) ** 2, axis=-1))
         table = ball_transform(n, s, norms.ravel()).reshape(norms.shape)
-        averaged = FrequencyMultiplier(n=n, N=N, table=table).apply(apply_local(op, u))
+        local_hat = np.fft.fftn(apply_local(op, u).values, axes=(0, 1))
+        averaged = TorusField(n=n, N=N, values=np.fft.ifftn(local_hat * table[..., None], axes=(0, 1)).real)
         assert rel_l2(apply_spherical_spectral(op, u, s), averaged) < 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("spectrum", ["dense", "sparse"])
+    def test_one_ball_transform_call_on_present_shells(self, n, spectrum, monkeypatch):
+        # the route damps only the shells that carry spectrum, in one call,
+        # and matches damping the whole grid
+        op, N, _ = TestRadial.CASES[n]
+        s = 0.15
+        rng = np.random.default_rng(50 + n)
+        if spectrum == "dense":
+            u = TorusField(n=n, N=N, values=rng.standard_normal((N,) * n + (op.dim_v,)))
+        else:
+            u = random_trig_field(n, N, op.dim_v, rng, max_degree=3)
+        calls = []
+
+        def counted(dim, r, xi):
+            calls.append(np.array(xi))
+            return ball_transform(dim, r, xi)
+
+        monkeypatch.setattr("nlops.fields.ball_transform", counted)
+        got = apply_spherical_spectral(op, u, s)
+        loc = reference_local_hat(op, u)
+        mag = np.max(np.abs(loc), axis=-1)
+        norms = np.sqrt(np.sum(frequency_grid(n, N).astype(float) ** 2, axis=-1))
+        assert len(calls) == 1
+        assert np.array_equal(calls[0], np.unique(norms[mag > 1e-9 * np.max(mag)]))
+        damp = ball_transform(n, s, norms.ravel()).reshape(norms.shape)
+        want = np.fft.ifftn(loc * damp[..., None], axes=tuple(range(n))).real
+        scale = lp_norm(apply_local(op, u), np.inf)
+        assert np.max(np.abs(got.values - want)) <= 1e-15 * scale
 
     def test_norm_contraction(self):
         rng = np.random.default_rng(11)
@@ -249,7 +279,8 @@ class TestRadial:
 
 class TestShellTable:
     """How apply_radial_spectral fills its multiplier dict: one Chebyshev
-    interpolant on dense spectra, one mu_hat call per shell on sparse ones."""
+    interpolant on dense spectra, one mu_hat call on all shells of sparse
+    ones."""
 
     @staticmethod
     def counting_mu_hat(monkeypatch):
@@ -277,18 +308,19 @@ class TestShellTable:
         worst = max(abs(val - mu_hat(w, float(xi))) for xi, val in table.items())
         assert worst <= 1e-13
 
-    def test_sparse_spectrum_calls_mu_hat_per_shell(self, monkeypatch):
+    def test_sparse_spectrum_makes_one_mu_hat_call(self, monkeypatch):
         calls = self.counting_mu_hat(monkeypatch)
         w = normalize(bump(2))
         u = random_trig_field(2, 32, 1, np.random.default_rng(8), max_degree=3, num_terms=6)
         table = {}
         apply_radial_spectral(gradient(2), u, w, table)
-        assert sorted(calls) == sorted(float(xi) for xi in table)
-        assert all(val == mu_hat(w, float(xi)) for xi, val in table.items())
+        shells = np.array(sorted(table))
+        assert len(calls) == 1 and np.array_equal(calls[0], shells)
+        assert np.array_equal([table[xi] for xi in shells], mu_hat(w, shells))
 
-    def test_unresolved_interpolant_falls_back_per_shell(self, monkeypatch):
+    def test_unresolved_interpolant_falls_back_to_one_call(self, monkeypatch):
         # no Chebyshev tail meets a zero chop, so every degree the size rule
-        # allows is tried and discarded before the per-shell pass
+        # allows is tried and discarded before one call on all the shells
         monkeypatch.setattr("nlops.fields.CHEB_CHOP", 0.0)
         calls = self.counting_mu_hat(monkeypatch)
         w = normalize(bump(2, 0.3))
@@ -296,8 +328,10 @@ class TestShellTable:
         u = TorusField(n=2, N=64, values=rng.standard_normal((64, 64, 1)))
         table = {}
         apply_radial_spectral(gradient(2), u, w, table)
-        assert len(table) < len(calls) < 1.5 * len(table)
-        assert all(val == mu_hat(w, float(xi)) for xi, val in table.items())
+        shells = np.array(sorted(table))
+        assert len(table) < sum(np.size(xi) for xi in calls) < 1.5 * len(table)
+        assert np.array_equal(calls[-1], shells)
+        assert np.array_equal([table[xi] for xi in shells], mu_hat(w, shells))
 
 
     @pytest.mark.parametrize(

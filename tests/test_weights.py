@@ -13,7 +13,6 @@ from scipy.special import sici
 
 from nlops.bessel import ball_transform, unit_ball_volume
 from nlops.weights import (
-    MU_HAT_BLOCK,
     PANEL_NODES,
     RadialWeight,
     WeightError,
@@ -192,6 +191,15 @@ class TestMuHat:
         grid = np.array([[0.0, 1.0], [2.0, 3.0]])
         assert mu_hat(w, grid).shape == (2, 2)
 
+    @pytest.mark.parametrize(
+        "w",
+        [bump(2), normalize(gaussian_modification(3, 0.1)), fractional(1, 0.5), annulus(0.05)],
+        ids=lambda w: f"{w.name}-n{w.n}",
+    )
+    def test_scalar_is_a_one_element_array_call(self, w):
+        for xi in (0.0, 0.37, 3.0, 41.5):
+            assert mu_hat(w, xi) == mu_hat(w, np.array([xi]))[0]
+
     @pytest.mark.parametrize("xi", [-1.0, [0.5, -0.1], np.nan])
     def test_negative_or_nan_frequency_rejected(self, xi):
         with pytest.raises(ValueError):
@@ -202,7 +210,7 @@ class TestMuHat:
         w = normalize(gaussian_modification(2, 0.1))
         grid = np.linspace(0.0, 30.0, 41)
         vals, errs = mu_hat_scan(w, grid)
-        coarse = _multiplier(w, grid, PANEL_NODES // 2, MU_HAT_BLOCK)
+        coarse = _multiplier(w, grid, PANEL_NODES // 2)
         assert np.array_equal(vals, mu_hat(w, grid))
         assert errs[0] == 1e-8 * abs(vals[0])
         assert np.array_equal(errs[1:], np.abs(vals[1:] - coarse[1:]) + 1e-15)
