@@ -4,6 +4,10 @@ Each subcommand reads an optional INI config (flat key = value entries under
 section headers), runs one experiment, writes a CSV table prefixed by a
 metadata comment block, prints a one-line verdict, and exits 0 on PASS,
 1 on a violated invariant or numerical failure, 2 on config errors.
+An INI file belongs to one subcommand: every value is read, converted and
+range-checked by ``_setting``, which records its key, and ``write_csv``
+refuses a key the subcommand never read before it writes anything, so a
+misspelled or ignored key cannot leave a default silently in force.
 Identical config and version produce byte-identical CSV output.  The
 ``--threads`` flag is only a hint: sweeps run in order on one thread, and
 the output never depends on it.
@@ -15,6 +19,7 @@ import argparse
 import configparser
 import sys
 from dataclasses import dataclass, field
+from inspect import signature
 from math import isfinite, log, pi
 from pathlib import Path
 from typing import Optional
@@ -35,111 +40,49 @@ class ConfigError(ValueError):
 
 @dataclass
 class ExperimentConfig:
-    """Validated experiment description assembled from an INI file.
+    """The sections of an INI file, their echo, and the keys read so far.
 
-    Core fields cover the common plumbing; ``sections`` retains the raw
-    key-value pairs for subcommand-specific lookups.
+    Every value leaves ``sections`` through ``_setting``, which records its
+    ``(section, key)`` in ``read``; ``write_csv`` refuses a key never read.
     """
 
-    operator: dict = field(default_factory=dict)
-    weight: dict = field(default_factory=dict)
-    field_section: dict = field(default_factory=dict)
-    N: int = 64
-    p: str = "2"
-    s_list: tuple = (0.3, 0.1)
-    eps_list: tuple = (0.2, 0.1, 0.05, 0.025)
-    tolerances: dict = field(default_factory=dict)
     sections: dict = field(default_factory=dict)
-    echo: tuple = ()
+    echo: tuple = (("config", "<defaults>"),)
+    read: set = field(default_factory=set)
 
     @staticmethod
     def from_ini(path: Optional[str]) -> "ExperimentConfig":
-        cfg = ExperimentConfig()
         if path is None:
-            cfg.echo = (("config", "<defaults>"),)
-            return cfg
-        parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+            return ExperimentConfig()
+        # no default section: a [DEFAULT] key is a key like any other, and
+        # must be read to be accepted
+        parser = configparser.ConfigParser(inline_comment_prefixes=("#",), default_section="")
         try:
             with open(path) as fh:
                 parser.read_file(fh)
+            sections = {name: dict(parser.items(name)) for name in parser.sections()}
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}")
         except configparser.Error as exc:
             raise ConfigError(f"malformed config: {exc}")
-        cfg.sections = {name: dict(parser.items(name)) for name in parser.sections()}
-        run = cfg.sections.get("run", {})
-        try:
-            cfg.N = int(run.get("n_grid", cfg.N))
-            cfg.p = run.get("p", cfg.p)
-            if "s_list" in run:
-                cfg.s_list = _parse_floats(run["s_list"])
-            if "eps_list" in run:
-                cfg.eps_list = _parse_floats(run["eps_list"])
-        except ValueError as exc:
-            raise ConfigError(f"bad [run] entry: {exc}")
-        cfg.operator = cfg.sections.get("operator", {})
-        cfg.weight = cfg.sections.get("weight", {})
-        cfg.field_section = cfg.sections.get("field", {})
-        for key in cfg.sections.get("tolerance", {}):
-            if key not in TOLERANCES:
-                raise ConfigError(f"[tolerance] {key} is not a tolerance; known: {', '.join(TOLERANCES)}")
-            cfg.tolerances[key] = _setting(cfg, "tolerance", key, None)
-        cfg.validate()
-        cfg.echo = tuple(
-            (f"{sec}.{k}", v) for sec in sorted(cfg.sections) for k, v in sorted(cfg.sections[sec].items())
-        )
-        return cfg
-
-    def validate(self):
-        if self.N < 4 or self.N % 2:
-            raise ConfigError(f"grid size N must be even and >= 4, got {self.N}")
-        if self.p not in ("1", "2", "inf") and not _is_float(self.p):
-            raise ConfigError(f"exponent p must be a number >= 1 or 'inf', got {self.p!r}")
-        for name, lst in (("s_list", self.s_list), ("eps_list", self.eps_list)):
-            if len(lst) == 0:
-                raise ConfigError(f"{name} must be nonempty")
-            if any(b >= a for a, b in zip(lst, lst[1:])):
-                raise ConfigError(f"{name} must be strictly decreasing, got {lst}")
-            if not all(isfinite(x) and x > 0 for x in lst):
-                raise ConfigError(f"{name} entries must be finite and positive, got {lst}")
-        preset = self.operator.get("preset")
-        if preset is not None and preset not in operators.PRESETS:
-            raise ConfigError(
-                f"unknown operator preset {preset!r}; available: {sorted(operators.PRESETS)}"
-            )
-        wpreset = self.weight.get("preset")
-        if wpreset is not None and wpreset not in weights.WEIGHT_PRESETS:
-            raise ConfigError(
-                f"unknown weight preset {wpreset!r}; available: {sorted(weights.WEIGHT_PRESETS)}"
-            )
+        echo = tuple((f"{sec}.{k}", v) for sec in sorted(sections) for k, v in sorted(sections[sec].items()))
+        return ExperimentConfig(sections, echo or ExperimentConfig.echo)
 
     def tolerance(self, key: str) -> float:
         """The ``[tolerance]`` override of ``key``, or its TOLERANCES default."""
-        return self.tolerances.get(key, TOLERANCES[key])
+        return _setting(self, "tolerance", key, TOLERANCES[key])
 
-    def p_value(self):
-        return np.inf if self.p == "inf" else float(self.p)
-
-
-def _is_float(text: str) -> bool:
-    try:
-        return float(text) >= 1
-    except ValueError:
-        return False
+    def run(self, key: str):
+        """The ``[run]`` value of ``key``, or its RUN default."""
+        return _setting(self, "run", key, *RUN[key])
 
 
 def _parse_floats(text: str) -> tuple:
-    try:
-        return tuple(float(tok) for tok in text.replace(",", " ").split())
-    except ValueError:
-        raise ConfigError(f"cannot parse float list from {text!r}")
+    return tuple(float(tok) for tok in text.replace(",", " ").split())
 
 
 def _parse_ints(text: str) -> tuple:
-    try:
-        return tuple(int(tok) for tok in text.replace(",", " ").split())
-    except ValueError:
-        raise ConfigError(f"cannot parse integer list from {text!r}")
+    return tuple(int(tok) for tok in text.replace(",", " ").split())
 
 
 #: (convert, check, description) of the value kinds that _setting reads.
@@ -148,6 +91,20 @@ NONNEGATIVE = (float, lambda v: isfinite(v) and v >= 0, "a finite number >= 0")
 POSITIVE = (float, lambda v: isfinite(v) and v > 0, "a finite positive number")
 COUNT = (int, lambda k: k >= 1, "an integer >= 1")
 SWITCH = (str.lower, lambda v: v in ("yes", "no", "true", "false", "1", "0"), "one of yes/no/true/false/1/0")
+TEXT = (str, bool, "nonempty text")
+GRID = (int, lambda k: k >= 4 and k % 2 == 0, "an even integer >= 4")
+EXPONENT = (str, lambda text: float(text) >= 1, "a number >= 1 or inf")
+SCALES = (
+    _parse_floats,
+    lambda xs: len(xs) > 0 and all(isfinite(x) and x > 0 for x in xs) and all(b < a for a, b in zip(xs, xs[1:])),
+    "a strictly decreasing list of finite positive numbers",
+)
+
+
+def choice(names) -> tuple:
+    """The value kind of a name from ``names``."""
+    return (str, lambda v: v in names, f"one of {', '.join(sorted(names))}")
+
 
 #: Default of every ``[tolerance]`` key; an INI may override these and no
 #: others, and only the overrides are echoed into the CSV.
@@ -161,6 +118,15 @@ TOLERANCES = {
     "gauss_green_smooth": 1e-8,
 }
 
+#: (default, kind) of every ``[run]`` key.  ``p`` stays text, so the CSV
+#: records it as written.
+RUN = {
+    "n_grid": (64, GRID),
+    "p": ("2", EXPONENT),
+    "s_list": ("0.3 0.1", SCALES),
+    "eps_list": ("0.2 0.1 0.05 0.025", SCALES),
+}
+
 #: Operator dimensions with sphere rules (``quadrature.sphere_quadrature``).
 DIMENSIONS = (1, 2, 3)
 
@@ -168,11 +134,15 @@ DIMENSIONS = (1, 2, 3)
 def _setting(cfg: ExperimentConfig, section: str, key: str, default, kind=NUMBER):
     """``[section] key`` (or ``default``), converted and range-checked by ``kind``.
 
-    Raises ConfigError naming the section and the key when the value does
-    not convert or fails the check.
+    Records the key as read.  A ``None`` default lets the key be absent, and
+    then the result is None.  Raises ConfigError naming the section and the
+    key when the value does not convert or fails the check.
     """
-    convert, check, rule = kind
+    cfg.read.add((section, key))
     raw = cfg.sections.get(section, {}).get(key, default)
+    if raw is None:
+        return None
+    convert, check, rule = kind
     try:
         value = convert(raw)
         if check(value):
@@ -183,18 +153,17 @@ def _setting(cfg: ExperimentConfig, section: str, key: str, default, kind=NUMBER
 
 
 def build_operator(cfg: ExperimentConfig) -> operators.FirstOrderOperator:
-    section = cfg.operator
-    if "file" in section:
+    path = _setting(cfg, "operator", "file", None, TEXT)
+    if path is not None:
         try:
-            op = operators.from_text_file(section["file"])
+            op = operators.from_text_file(path)
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read operator file: {exc}")
     else:
-        name = section.get("preset", "derivative")
-        n = _setting(cfg, "operator", "n", 1, COUNT)
+        name = _setting(cfg, "operator", "preset", "derivative", choice(operators.PRESETS))
         try:
-            op = operators.preset(name, n)
-        except (KeyError, ValueError) as exc:
+            op = operators.preset(name, _setting(cfg, "operator", "n", 1, COUNT))
+        except ValueError as exc:
             raise ConfigError(str(exc))
     if op.n not in DIMENSIONS:
         raise ConfigError(f"operator dimension n must be one of {DIMENSIONS}, got {op.n}")
@@ -202,15 +171,12 @@ def build_operator(cfg: ExperimentConfig) -> operators.FirstOrderOperator:
 
 
 def build_weight(cfg: ExperimentConfig) -> weights.RadialWeight:
-    section = dict(cfg.weight)
-    name = section.pop("preset", "gaussian")
-    section.pop("normalize", None)
+    name = _setting(cfg, "weight", "preset", "gaussian", choice(weights.WEIGHT_PRESETS))
     normalize = _setting(cfg, "weight", "normalize", "yes", SWITCH) in ("yes", "true", "1")
-    kwargs = {key: _setting(cfg, "weight", key, None, COUNT if key == "n" else NUMBER) for key in section}
+    preset = weights.WEIGHT_PRESETS[name]
+    kwargs = {key: _setting(cfg, "weight", key, None, COUNT if key == "n" else NUMBER) for key in signature(preset).parameters}
     try:
-        w = weights.WEIGHT_PRESETS[name](**kwargs)
-    except KeyError:
-        raise ConfigError(f"unknown weight preset {name!r}")
+        w = preset(**{key: value for key, value in kwargs.items() if value is not None})
     except TypeError as exc:
         raise ConfigError(f"bad parameters for weight preset {name!r}: {exc}")
     except weights.WeightError:
@@ -245,23 +211,22 @@ def parse_terms(text: str, n: int, dim_v: int) -> list:
 
 
 def build_field(cfg: ExperimentConfig, op: operators.FirstOrderOperator, rng) -> fields.TorusField:
-    section = cfg.field_section
-    if "terms" in section:
-        terms = parse_terms(section["terms"], op.n, op.dim_v)
-        return fields.trig_field_from_coeffs(op.n, cfg.N, op.dim_v, terms)
-    kind = section.get("kind", "default")
-    if kind == "random":
-        below_nyquist = (int, lambda k: 1 <= k < cfg.N // 2, f"an integer in [1, {cfg.N // 2 - 1}]")
+    N = cfg.run("n_grid")
+    fits = lambda terms: all(max(map(abs, m)) < N // 2 and np.isfinite(c).all() for m, c in terms)
+    rule = f"';'-separated 'm | c' terms of {op.n} integer(s) |m_i| < {N // 2} and {op.dim_v} finite coefficient(s)"
+    terms = _setting(cfg, "field", "terms", None, (lambda text: parse_terms(text, op.n, op.dim_v), fits, rule))
+    if terms is not None:
+        return fields.trig_field_from_coeffs(op.n, N, op.dim_v, terms)
+    if _setting(cfg, "field", "kind", "default", choice(("default", "random"))) == "random":
+        below_nyquist = (int, lambda k: 1 <= k < N // 2, f"an integer in [1, {N // 2 - 1}]")
         deg = _setting(cfg, "field", "max_degree", 3, below_nyquist)
         num = _setting(cfg, "field", "num_terms", 6, COUNT)
-        return fields.random_trig_field(op.n, cfg.N, op.dim_v, rng, max_degree=deg, num_terms=num)
-    if kind != "default":
-        raise ConfigError(f"unknown field kind {kind!r}")
+        return fields.random_trig_field(op.n, N, op.dim_v, rng, max_degree=deg, num_terms=num)
     # default: v sin(2 pi x_1) with v = e_1
     coeff = np.zeros(op.dim_v, dtype=complex)
     coeff[0] = -0.5j
     mvec = (1,) + (0,) * (op.n - 1)
-    return fields.trig_field_from_coeffs(op.n, cfg.N, op.dim_v, [(mvec, coeff)])
+    return fields.trig_field_from_coeffs(op.n, N, op.dim_v, [(mvec, coeff)])
 
 
 # ---------------------------------------------------------------------------
@@ -277,13 +242,17 @@ def _fmt(x) -> str:
 
 
 def write_csv(path: Path, subcommand: str, cfg: ExperimentConfig, header, rows, extra_meta=()):
+    """Write the artifact, after checking that the subcommand read every INI key."""
+    unread = [f"[{sec}] {key}" for sec in sorted(cfg.sections) for key in cfg.sections[sec] if (sec, key) not in cfg.read]
+    if unread:
+        raise ConfigError(f"{subcommand} does not read {', '.join(unread)}")
     lines = [f"# tool: nlops {__version__}", f"# subcommand: {subcommand}"]
-    for key, val in cfg.echo or (("config", "<defaults>"),):
+    for key, val in cfg.echo:
         lines.append(f"# config {key} = {val}")
     for key, val in extra_meta:
         lines.append(f"# {key} = {val}")
-    for key, val in sorted(cfg.tolerances.items()):
-        lines.append(f"# tolerance {key} = {val}")
+    for key in sorted(cfg.sections.get("tolerance", {})):
+        lines.append(f"# tolerance {key} = {cfg.tolerance(key)}")
     lines.append(",".join(header))
     for row in rows:
         lines.append(",".join(_fmt(x) for x in row))
@@ -305,11 +274,12 @@ def cmd_bessel(cfg: ExperimentConfig, out: Path, rng) -> tuple[int, str]:
     t = np.arange(t_lo, t_hi + 0.5 * step, step)
     vals = bessel_j(alpha, t)
     rows = list(zip(t, vals))
+    tol = cfg.tolerance("bessel_half")
     write_csv(out / "bessel.csv", "bessel", cfg, ["t", "j_alpha"], rows, [("alpha", alpha)])
     if alpha == 0.5:
         closed = np.sqrt(2.0 / (pi * t)) * np.sin(t)
         worst = float(np.max(np.abs(vals - closed)))
-        ok = worst < cfg.tolerance("bessel_half")
+        ok = worst < tol
         return (0 if ok else 1), (
             f"{'PASS' if ok else 'FAIL'} bessel: max deviation from the half-order "
             f"closed form {worst:.3e}"
@@ -334,11 +304,10 @@ def cmd_zeros(cfg: ExperimentConfig, out: Path, rng) -> tuple[int, str]:
 
 def cmd_multiplier(cfg: ExperimentConfig, out: Path, rng) -> tuple[int, str]:
     w = build_weight(cfg)
-    if "xi_list" in cfg.sections.get("multiplier", {}):
-        ascending = lambda xs: 0 < len(xs) and all(map(isfinite, xs)) and 0 <= xs[0] and list(xs) == sorted(xs)
-        kind = (_parse_floats, ascending, "an ascending list of finite numbers >= 0")
-        grid = np.asarray(_setting(cfg, "multiplier", "xi_list", "", kind))
-    else:
+    ascending = lambda xs: 0 < len(xs) and all(map(isfinite, xs)) and 0 <= xs[0] and list(xs) == sorted(xs)
+    xi_list = (lambda text: np.asarray(_parse_floats(text)), ascending, "an ascending list of finite numbers >= 0")
+    grid = _setting(cfg, "multiplier", "xi_list", None, xi_list)
+    if grid is None:
         # default window chosen so the default (gaussian) multiplier stays
         # above double-precision resolution over the whole grid
         lo = _setting(cfg, "multiplier", "xi_min", 0.0, NONNEGATIVE)
@@ -349,6 +318,7 @@ def cmd_multiplier(cfg: ExperimentConfig, out: Path, rng) -> tuple[int, str]:
     vals, errs = weights.mu_hat_scan(w, grid)
     report = weights.positivity_report(grid, vals)
     rows = list(zip(grid, vals, errs))
+    bound = w.mass + cfg.tolerance("multiplier_bound")
     write_csv(
         out / "multiplier.csv",
         "multiplier",
@@ -357,7 +327,6 @@ def cmd_multiplier(cfg: ExperimentConfig, out: Path, rng) -> tuple[int, str]:
         rows,
         [("weight", w.name), ("mass", _fmt(w.mass)), ("positivity", report.verdict)],
     )
-    bound = w.mass + cfg.tolerance("multiplier_bound")
     ok = float(np.max(np.abs(vals))) <= bound
     status = 0 if ok else 1
     line = (
@@ -371,14 +340,16 @@ def cmd_multiplier(cfg: ExperimentConfig, out: Path, rng) -> tuple[int, str]:
 def cmd_localize(cfg: ExperimentConfig, out: Path, rng) -> tuple[int, str]:
     op = build_operator(cfg)
     u = build_field(cfg, op, rng)
-    fam = weights.annulus_family()
-    if cfg.weight.get("preset", "annulus") == "bump":
+    if _setting(cfg, "weight", "preset", "annulus", choice(("annulus", "bump"))) == "bump":
         fam = weights.rescaled_family(weights.bump(op.n))
-    if op.n != fam(cfg.eps_list[0]).n:
+    else:
+        fam = weights.annulus_family()
+    p, eps_list = cfg.run("p"), cfg.run("eps_list")
+    if op.n != fam(eps_list[0]).n:
         raise ConfigError("localization family dimension does not match the operator")
-    table = fields.localization_table(op, u, fam, cfg.p_value(), cfg.eps_list)
-    write_csv(out / "localize.csv", "localize", cfg, ["eps", "lp_error"], table, [("family", fam.name), ("p", cfg.p)])
+    table = fields.localization_table(op, u, fam, float(p), eps_list)
     slack = 1.0 + cfg.tolerance("localize_monotone_slack")
+    write_csv(out / "localize.csv", "localize", cfg, ["eps", "lp_error"], table, [("family", fam.name), ("p", p)])
     ok = all(b <= slack * a for (_, a), (_, b) in zip(table, table[1:]))
     last = table[-1][1]
     return (0 if ok else 1), (
@@ -412,15 +383,16 @@ def cmd_kernel_check(cfg: ExperimentConfig, out: Path, rng) -> tuple[int, str]:
 def cmd_witness(cfg: ExperimentConfig, out: Path, rng) -> tuple[int, str]:
     op = build_operator(cfg)
     s = _setting(cfg, "witness", "s", 0.5, POSITIVE)
-    below_nyquist = lambda m: any(m) and max(map(abs, m)) < cfg.N // 2
-    frequency = (_parse_ints, below_nyquist, f"a nonzero integer frequency with entries below {cfg.N // 2}")
+    N = cfg.run("n_grid")
+    below_nyquist = lambda m: any(m) and max(map(abs, m)) < N // 2
+    frequency = (_parse_ints, below_nyquist, f"a nonzero integer frequency with entries below {N // 2}")
     mvec = _setting(cfg, "witness", "m", "1", frequency)
     if len(mvec) != op.n:
         raise ConfigError(f"witness frequency {mvec} does not match operator dimension {op.n}")
     fits = lambda v: len(v) == op.dim_v and all(map(isfinite, v))
     fiber = (_parse_floats, fits, f"{op.dim_v} finite number(s), one per fiber component")
     v = np.asarray(_setting(cfg, "witness", "v", " ".join(["1"] + ["0"] * (op.dim_v - 1)), fiber))
-    report = fields.kernel_witness(op, s, mvec, v, N=cfg.N)
+    report = fields.kernel_witness(op, s, mvec, v, N=N)
     rows = [
         (
             " ".join(str(x) for x in report.m),
@@ -432,6 +404,7 @@ def cmd_witness(cfg: ExperimentConfig, out: Path, rng) -> tuple[int, str]:
             report.symbol_image_norm,
         )
     ]
+    tol = cfg.tolerance("witness_sup")
     write_csv(
         out / "witness.csv",
         "witness",
@@ -440,7 +413,6 @@ def cmd_witness(cfg: ExperimentConfig, out: Path, rng) -> tuple[int, str]:
         rows,
         [("advisories", "; ".join(report.advisories) or "none")],
     )
-    tol = cfg.tolerance("witness_sup")
     ok = report.sup_spherical < tol and report.sup_local > 1.0
     return (0 if ok else 1), (
         f"{'PASS' if ok else 'FAIL'} witness: sup|A_s u| = {report.sup_spherical:.3e}, "
@@ -452,7 +424,7 @@ def cmd_counterexample_linf(cfg: ExperimentConfig, out: Path, rng) -> tuple[int,
     rows = []
     floor = 1.0 - log(2.0) - cfg.tolerance("linf_gap")
     ok = True
-    for eps in cfg.eps_list:
+    for eps in cfg.run("eps_list"):
         gap = measures.linf_gap(eps)
         rows.append((eps, gap))
         ok = ok and gap >= floor
@@ -494,7 +466,7 @@ def cmd_area(cfg: ExperimentConfig, out: Path, rng) -> tuple[int, str]:
     cells = _setting(cfg, "area", "cells", 800, COUNT)
     mu = measures.dirac((-1.0, 1.0), 0.0, 1.0)
     f = measures.area_integrand()
-    table = measures.area_convergence_table(mu, f, cfg.s_list, cells=cells)
+    table = measures.area_convergence_table(mu, f, cfg.run("s_list"), cells=cells)
     write_csv(out / "area.csv", "area", cfg, ["s", "area_value", "gap"], table, [("cells", cells), ("measure", "dirac")])
     gaps = [g for _, _, g in table]
     ok = all(b < a for a, b in zip(gaps, gaps[1:]))

@@ -112,6 +112,12 @@ class TestExitStatuses:
         cfg = write_config(tmp_path, "n_grid = 64\nno section header\n")
         assert run(tmp_path, "bessel", "--config", cfg) == 2
 
+    def test_bad_interpolation_is_config_error(self, tmp_path, capsys):
+        # '%' starts an interpolation, so a lone one is malformed
+        cfg = write_config(tmp_path, "[bessel]\nalpha = 5%\n")
+        assert run(tmp_path, "bessel", "--config", cfg) == 2
+        assert capsys.readouterr().err.startswith("CONFIG ERROR: malformed config")
+
     def test_missing_config_file(self, tmp_path):
         assert run(tmp_path, "bessel", "--config", str(tmp_path / "absent.ini")) == 2
 
@@ -188,17 +194,92 @@ class TestExitStatuses:
             ("localize", "[field]\nkind = random\nmax_degree = 32\n", "[field] max_degree"),
             ("multiplier", "[weight]\npreset = gaussian\nsigma = -1\n", "[weight]"),
             ("multiplier", "[weight]\npreset = gaussian\nsigma = inf\n", "[weight] sigma"),
+            ("localize", "[field]\nterms = 1 | infj\n", "[field] terms"),
+            ("localize", "[field]\nterms = 1 | nanj\n", "[field] terms"),
+            ("localize", "[field]\nterms = 32 | 1\n", "[field] terms"),
+            ("localize", "[weight]\npreset = gaussian\nsigma = 0.3\n", "[weight] preset"),
         ],
-        ids=["num_terms-0", "num_terms-x", "max_degree-0", "max_degree-nyquist", "sigma-negative", "sigma-inf"],
+        ids=[
+            "num_terms-0",
+            "num_terms-x",
+            "max_degree-0",
+            "max_degree-nyquist",
+            "sigma-negative",
+            "sigma-inf",
+            "terms-inf",
+            "terms-nan",
+            "terms-nyquist",
+            "localize-gaussian",
+        ],
     )
     def test_bad_field_or_weight_is_config_error(self, tmp_path, capsys, subcommand, text, names):
         # a zero field must not pass vacuously, and a weight the preset
-        # rejects is a configuration error, not a numerical failure
+        # rejects, a non-finite field coefficient or a field frequency on the
+        # Nyquist row (N = 64) is a configuration error, not a numerical failure
         cfg = write_config(tmp_path, text)
         assert run(tmp_path, subcommand, "--config", cfg) == 2
         err = capsys.readouterr().err
         assert err.startswith("CONFIG ERROR")
         assert names in err
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize(
+        "subcommand,text,names",
+        [
+            ("bessel", "[bessel]\nt_mx = 10\n", "[bessel] t_mx"),
+            ("zeros", "[zeros]\ncuont = 3\n", "[zeros] cuont"),
+            ("multiplier", "[multiplier]\nxi_cout = 5\n", "[multiplier] xi_cout"),
+            ("multiplier", "[weight]\npreset = gaussian\nsigm = 0.5\n", "[weight] sigm"),
+            ("multiplier", "[run]\nn_gird = 8\n", "[run] n_gird"),
+            ("localize", "[operator]\nprest = derivative\n", "[operator] prest"),
+            ("localize", "[field]\nknd = random\n", "[field] knd"),
+            ("localize", "[weight]\npreset = bump\nradius = 0.05\n", "[weight] radius"),
+            ("localize", "[field]\nterms = 1 | -0.5j\nkind = random\n", "[field] kind"),
+            ("kernel-check", "[kernel]\nmax_degre = 2\n", "[kernel] max_degre"),
+            ("witness", "[witness]\nss = 0.5\n", "[witness] ss"),
+            ("counterexample-linf", "[run]\neps_lst = 0.1\n", "[run] eps_lst"),
+            ("gauss-green", "[gauss_green]\ncont = 5\n", "[gauss_green] cont"),
+            ("area", "[area]\ncell = 10\n", "[area] cell"),
+            ("atomic-demo", "[atomic]\nss = 0.5\n", "[atomic] ss"),
+            ("localize", "[DEFAULT]\nn_grid = 8\n", "[DEFAULT] n_grid"),
+        ],
+        ids=[
+            "bessel-t_mx",
+            "zeros-cuont",
+            "multiplier-xi_cout",
+            "multiplier-weight-sigm",
+            "multiplier-run-n_gird",
+            "localize-operator-prest",
+            "localize-field-knd",
+            "localize-bump-radius",
+            "localize-terms-and-kind",
+            "kernel-max_degre",
+            "witness-ss",
+            "counterexample-linf-run-eps_lst",
+            "gauss_green-cont",
+            "area-cell",
+            "atomic-ss",
+            "localize-DEFAULT-n_grid",
+        ],
+    )
+    def test_unread_key_is_config_error(self, tmp_path, capsys, subcommand, text, names):
+        # a key the subcommand never reads (misspelled, or shadowed by another
+        # key) would otherwise leave its default in force
+        cfg = write_config(tmp_path, text)
+        assert run(tmp_path, subcommand, "--config", cfg) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("CONFIG ERROR")
+        assert names in err
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_operator_file_with_dimension_is_config_error(self, tmp_path, capsys):
+        # the file fixes the dimension, so [operator] n would be ignored
+        path = tmp_path / "op.txt"
+        path.write_text("1 1 1\n1\n")
+        cfg = write_config(tmp_path, f"[operator]\nfile = {path}\nn = 2\n")
+        assert run(tmp_path, "localize", "--config", cfg) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("CONFIG ERROR") and "[operator] n" in err
         assert not list(tmp_path.glob("*.csv"))
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -248,7 +329,7 @@ class TestExitStatuses:
     def test_infinite_scale_is_config_error(self, tmp_path, capsys, subcommand, key):
         cfg = write_config(tmp_path, f"[run]\n{key} = inf 0.1\n")
         assert run(tmp_path, subcommand, "--config", cfg) == 2
-        assert capsys.readouterr().err.startswith(f"CONFIG ERROR: {key}")
+        assert capsys.readouterr().err.startswith(f"CONFIG ERROR: [run] {key}")
 
     @pytest.mark.parametrize("source", ["preset", "file"])
     def test_unsupported_dimension_is_config_error(self, tmp_path, capsys, source):
@@ -324,6 +405,13 @@ class TestDeterminism:
 
 
 class TestConfigParsing:
+    def test_readme_example_runs(self, tmp_path, capsys):
+        # the README's example INI is a localize config, and must stay one
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        text = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+        assert run(tmp_path, "localize", "--config", write_config(tmp_path, text)) == 0
+        assert capsys.readouterr().out.startswith("PASS localize")
+
     def test_terms_roundtrip(self):
         terms = parse_terms("1 0 | 0.5-0.25j 0; 2 1 | 0 1j", 2, 2)
         assert terms[0][0] == (1, 0)
@@ -333,13 +421,13 @@ class TestConfigParsing:
 
     def test_defaults_without_file(self):
         cfg = ExperimentConfig.from_ini(None)
-        assert cfg.N == 64
+        assert cfg.run("n_grid") == 64
         assert cfg.echo == (("config", "<defaults>"),)
 
     def test_inline_comments_stripped(self, tmp_path):
         path = tmp_path / "c.ini"
         path.write_text("[run]\nn_grid = 32  # keep it small\n")
-        assert ExperimentConfig.from_ini(str(path)).N == 32
+        assert ExperimentConfig.from_ini(str(path)).run("n_grid") == 32
 
     @pytest.mark.parametrize(
         "value,name", [("No", "bump"), ("0", "bump"), ("TRUE", "bump/normalized"), ("Yes", "bump/normalized")]
