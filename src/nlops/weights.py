@@ -332,7 +332,12 @@ def mu_hat_scan(w: RadialWeight, xi_grid) -> tuple[np.ndarray, np.ndarray]:
 
     The estimate is the difference between the default rule and a lower
     order rule on the same panels (plus an ulp-level floor); each rule is
-    one batched evaluation over the whole grid.
+    one batched evaluation over the whole grid.  It covers the panel rule
+    only, not the truncation of an unbounded tail at ``TAIL_CUTOFF`` nor
+    the mass quadrature behind ``normalize``.  For the normalized Gaussian
+    with sigma = 1 the values at xi >= 0.936 are 4e-13 to 1.7e-12 from the
+    closed form exp(-2 pi^2 xi^2), over 100 % of the value at xi = 1.2,
+    while the estimate reads about 1e-15.
     """
     xi_grid = np.asarray(xi_grid, dtype=float)
     vals = _multiplier(w, xi_grid, PANEL_NODES)

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import nlops
-from nlops.cli import ExperimentConfig, main, parse_terms
+from nlops.cli import COMMANDS, ExperimentConfig, main, parse_terms
 
 SCI = re.compile(r"-?\d\.\d{16}e[+-]\d{2,3}$")
 
@@ -25,61 +25,53 @@ def write_config(tmp_path, text):
     return str(path)
 
 
+#: Each subcommand's run: (INI text or None, a phrase of its verdict, phrases
+#: of its CSV, and its number of CSV lines after the metadata, or None).
+RUNS = {
+    "bessel": (None, "half-order closed form", [], None),
+    "zeros": (None, "worst residual", [], None),
+    "multiplier": (None, "positivity certificate", [], None),
+    "localize": ("[run]\neps_list = 0.1 0.05\n", "error decreases", [], None),
+    "kernel-check": (None, "kernel frequencies found", [], None),
+    "witness": (None, "sup|A_s u|", [], None),
+    "counterexample-linf": (
+        "[run]\neps_list = 0.15 0.08\n",
+        "uniform floor",
+        ["1.4999999999999999e-01", "8.0000000000000002e-02"],
+        None,
+    ),
+    "gauss-green": (None, "worst residual jump", ["heaviside", "trig"], None),
+    "area": ("[run]\ns_list = 0.2 0.1 0.05\n", "gap decreases", [], 4),  # header + one row per scale
+    "atomic-demo": (None, "discontinuous ball average", [], None),
+}
+
+
 class TestSubcommandsRun:
-    def test_bessel(self, tmp_path, capsys):
-        assert run(tmp_path, "bessel") == 0
-        assert capsys.readouterr().out.startswith("PASS bessel")
-        assert (tmp_path / "bessel.csv").exists()
+    """One run of every subcommand in ``COMMANDS``, as ``test_<name>`` with
+    ``-`` turned into ``_``; each reads its case from ``RUNS``."""
 
-    def test_zeros(self, tmp_path, capsys):
-        assert run(tmp_path, "zeros") == 0
-        assert "worst residual" in capsys.readouterr().out
+    def check(self, name, tmp_path, capsys):
+        text, phrase, body_phrases, data_lines = RUNS[name]
+        argv = [name] + (["--config", write_config(tmp_path, text)] if text else [])
+        assert run(tmp_path, *argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"PASS {name}: ")
+        assert phrase in lines[0]
+        csvs = list(tmp_path.glob("*.csv"))
+        assert [path.name for path in csvs] == [f"{name.replace('-', '_')}.csv"]
+        body = csvs[0].read_text()
+        assert body.splitlines()[1] == f"# subcommand: {name}"
+        assert all(snippet in body for snippet in body_phrases)
+        if data_lines is not None:
+            assert len([line for line in body.splitlines() if not line.startswith("#")]) == data_lines
 
-    def test_multiplier(self, tmp_path, capsys):
-        assert run(tmp_path, "multiplier") == 0
-        out = capsys.readouterr().out
-        assert out.startswith("PASS multiplier")
-        assert "positivity certificate" in out
 
-    def test_localize(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, "[run]\neps_list = 0.1 0.05\n")
-        assert run(tmp_path, "localize", "--config", cfg) == 0
-        assert "error decreases" in capsys.readouterr().out
+def _subcommand_test(name):
+    return lambda self, tmp_path, capsys: self.check(name, tmp_path, capsys)
 
-    def test_kernel_check(self, tmp_path, capsys):
-        assert run(tmp_path, "kernel-check") == 0
-        out = capsys.readouterr().out
-        assert "kernel frequencies found" in out
-        assert (tmp_path / "kernel_check.csv").exists()
 
-    def test_witness(self, tmp_path, capsys):
-        assert run(tmp_path, "witness") == 0
-        assert "sup|A_s u|" in capsys.readouterr().out
-
-    def test_counterexample_linf(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, "[run]\neps_list = 0.15 0.08\n")
-        assert run(tmp_path, "counterexample-linf", "--config", cfg) == 0
-        assert "uniform floor" in capsys.readouterr().out
-        body = (tmp_path / "counterexample_linf.csv").read_text()
-        assert "1.4999999999999999e-01" in body
-        assert "8.0000000000000002e-02" in body
-
-    def test_gauss_green(self, tmp_path, capsys):
-        assert run(tmp_path, "gauss-green") == 0
-        assert capsys.readouterr().out.startswith("PASS gauss-green")
-        body = (tmp_path / "gauss_green.csv").read_text()
-        assert "heaviside" in body and "trig" in body
-
-    def test_area(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, "[run]\ns_list = 0.2 0.1 0.05\n")
-        assert run(tmp_path, "area", "--config", cfg) == 0
-        assert "gap decreases" in capsys.readouterr().out
-        rows = [l for l in (tmp_path / "area.csv").read_text().splitlines() if not l.startswith("#")]
-        assert len(rows) == 4  # header + one row per scale
-
-    def test_atomic_demo(self, tmp_path, capsys):
-        assert run(tmp_path, "atomic-demo") == 0
-        assert "discontinuous ball average" in capsys.readouterr().out
+for _name in COMMANDS:
+    setattr(TestSubcommandsRun, f"test_{_name.replace('-', '_')}", _subcommand_test(_name))
 
 
 def test_cli_import_leaves_scipy_out():
@@ -198,6 +190,7 @@ class TestExitStatuses:
             ("localize", "[field]\nterms = 1 | nanj\n", "[field] terms"),
             ("localize", "[field]\nterms = 32 | 1\n", "[field] terms"),
             ("localize", "[weight]\npreset = gaussian\nsigma = 0.3\n", "[weight] preset"),
+            ("multiplier", "[weight]\npreset = bump\n", "[weight] n"),
         ],
         ids=[
             "num_terms-0",
@@ -210,12 +203,14 @@ class TestExitStatuses:
             "terms-nan",
             "terms-nyquist",
             "localize-gaussian",
+            "bump-without-n",
         ],
     )
     def test_bad_field_or_weight_is_config_error(self, tmp_path, capsys, subcommand, text, names):
         # a zero field must not pass vacuously, and a weight the preset
-        # rejects, a non-finite field coefficient or a field frequency on the
-        # Nyquist row (N = 64) is a configuration error, not a numerical failure
+        # rejects or lacks a required parameter of, a non-finite field
+        # coefficient or a field frequency on the Nyquist row (N = 64) is a
+        # configuration error, not a numerical failure
         cfg = write_config(tmp_path, text)
         assert run(tmp_path, subcommand, "--config", cfg) == 2
         err = capsys.readouterr().err
@@ -270,6 +265,15 @@ class TestExitStatuses:
         err = capsys.readouterr().err
         assert err.startswith("CONFIG ERROR")
         assert names in err
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("eps_list", ["0.3", "0.25 0.1"])
+    def test_linf_scale_from_a_quarter_is_config_error(self, tmp_path, capsys, eps_list):
+        # the averaged sign density of counterexample-linf needs eps < 1/4
+        cfg = write_config(tmp_path, f"[run]\neps_list = {eps_list}\n")
+        assert run(tmp_path, "counterexample-linf", "--config", cfg) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("CONFIG ERROR: [run] eps_list")
         assert not list(tmp_path.glob("*.csv"))
 
     def test_operator_file_with_dimension_is_config_error(self, tmp_path, capsys):
@@ -357,7 +361,9 @@ class TestExitStatuses:
         # numerically rather than through configuration
         cfg = write_config(tmp_path, "[witness]\ns = 0.3\n")
         assert run(tmp_path, "witness", "--config", cfg) == 1
-        assert capsys.readouterr().out.startswith("FAIL witness")
+        assert capsys.readouterr().out.startswith("FAIL witness: ")
+        # a failed invariant still leaves its evidence
+        assert (tmp_path / "witness.csv").read_text().splitlines()[1] == "# subcommand: witness"
 
 
 class TestCsvFormat:
