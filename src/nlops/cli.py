@@ -216,23 +216,26 @@ def parse_terms(text: str, n: int, dim_v: int) -> list:
     return terms
 
 
-def build_field(cfg: ExperimentConfig, op: operators.FirstOrderOperator, rng) -> fields.TorusField:
+def build_fields(cfg: ExperimentConfig, op: operators.FirstOrderOperator, rng) -> list:
+    """The fields of a run: ``[field] count`` random fields drawn in sequence
+    from ``rng`` (``kind = random``), else the one given or default field."""
     N = cfg.run("n_grid")
     fits = lambda terms: all(max(map(abs, m)) < N // 2 and np.isfinite(c).all() for m, c in terms)
     rule = f"';'-separated 'm | c' terms of {op.n} integer(s) |m_i| < {N // 2} and {op.dim_v} finite coefficient(s)"
     terms = _setting(cfg, "field", "terms", None, (lambda text: parse_terms(text, op.n, op.dim_v), fits, rule))
     if terms is not None:
-        return fields.trig_field_from_coeffs(op.n, N, op.dim_v, terms)
+        return [fields.trig_field_from_coeffs(op.n, N, op.dim_v, terms)]
     if _setting(cfg, "field", "kind", "default", choice(("default", "random"))) == "random":
         below_nyquist = (int, lambda k: 1 <= k < N // 2, f"an integer in [1, {N // 2 - 1}]")
         deg = _setting(cfg, "field", "max_degree", 3, below_nyquist)
         num = _setting(cfg, "field", "num_terms", 6, COUNT)
-        return fields.random_trig_field(op.n, N, op.dim_v, rng, max_degree=deg, num_terms=num)
+        count = _setting(cfg, "field", "count", 1, COUNT)
+        return [fields.random_trig_field(op.n, N, op.dim_v, rng, max_degree=deg, num_terms=num) for _ in range(count)]
     # default: v sin(2 pi x_1) with v = e_1
     coeff = np.zeros(op.dim_v, dtype=complex)
     coeff[0] = -0.5j
     mvec = (1,) + (0,) * (op.n - 1)
-    return fields.trig_field_from_coeffs(op.n, N, op.dim_v, [(mvec, coeff)])
+    return [fields.trig_field_from_coeffs(op.n, N, op.dim_v, [(mvec, coeff)])]
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +333,7 @@ def cmd_multiplier(cfg: ExperimentConfig, rng) -> tuple:
 
 def cmd_localize(cfg: ExperimentConfig, rng) -> tuple:
     op = build_operator(cfg)
-    u = build_field(cfg, op, rng)
+    us = build_fields(cfg, op, rng)
     if _setting(cfg, "weight", "preset", "annulus", choice(("annulus", "bump"))) == "bump":
         fam = weights.rescaled_family(weights.bump(op.n))
     else:
@@ -338,10 +341,18 @@ def cmd_localize(cfg: ExperimentConfig, rng) -> tuple:
     p, eps_list = cfg.run("p"), cfg.run("eps_list")
     if op.n != fam(eps_list[0]).n:
         raise ConfigError("localization family dimension does not match the operator")
-    table = fields.localization_table(op, u, fam, float(p), eps_list)
+    # the fields share one multiplier cache; each error is the mean over the
+    # fields, summed in order
+    cache = {}
+    tables = [fields.localization_table(op, u, fam, float(p), eps_list, cache) for u in us]
+    table = [(rows[0][0], sum(err for _, err in rows) / len(rows)) for rows in zip(*tables)]
     slack = 1.0 + cfg.tolerance("localize_monotone_slack")
     ok = all(b <= slack * a for (_, a), (_, b) in zip(table, table[1:]))
-    summary = f"error decreases along eps (final {table[-1][1]:.6e} at eps={table[-1][0]:g})"
+    eps, err = table[-1]
+    summary = f"error decreases along eps (final {err:.6e} at eps={eps:g}"
+    if len(table) > 1 and table[-2][1]:
+        summary += f", last ratio {err / table[-2][1]:.4f}"
+    summary += ")"
     return ok, summary, ["eps", "lp_error"], table, [("family", fam.name), ("p", p)]
 
 
@@ -477,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None, help="INI config file")
         p.add_argument("--out", default=".", help="output directory for CSV artifacts")
         p.add_argument("--threads", type=int, default=1, help="hint only (>= 1); sweeps run in order on one thread")
-        p.add_argument("--seed", type=int, default=0, help="seed for random test fields")
+        p.add_argument("--seed", type=int, default=0, help="seed for random test fields (>= 0)")
     return parser
 
 
@@ -487,6 +498,8 @@ def main(argv=None) -> int:
     try:
         if args.threads < 1:
             raise ConfigError(f"--threads must be >= 1, got {args.threads}")
+        if args.seed < 0:
+            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         cfg = ExperimentConfig.from_ini(args.config)
         ok, summary, header, rows, meta = COMMANDS[name](cfg, np.random.default_rng(args.seed))
         write_csv(Path(args.out) / f"{name.replace('-', '_')}.csv", name, cfg, header, rows, meta)

@@ -219,7 +219,14 @@ def tail(w: RadialWeight, delta: float) -> float:
 
 
 def normalize(w: RadialWeight) -> RadialWeight:
-    """Scale the profile to unit mass; idempotent up to rounding."""
+    """Scale the profile to unit mass; idempotent up to rounding.
+
+    An unbounded weight's mass comes from quadrature truncated at
+    ``TAIL_CUTOFF``, so it misses up to 1e-10 of the tail: a normalized
+    Gaussian modification of width sigma is too large by about
+    1e-10/sigma^2 relative, and every multiplier of it, even
+    ``mu_hat_highprec``'s, inherits that offset.
+    """
     m = w.mass
     if not np.isfinite(m) or m <= 0.0:
         raise WeightError("cannot normalize a weight of zero or infinite mass")
@@ -351,10 +358,10 @@ def mu_hat_highprec(w: RadialWeight, xi_norm: float, dps: int = 35):
 
     Uses the half-order reduction of the defining integral,
     mu_hat(xi) = (1/(pi xi)) int_0^inf rhohat(r) sin(2 pi r xi) / r dr,
-    integrated with mpmath between consecutive zeros of the sine factor.
-    Needed where the double-precision oscillatory quadrature cannot resolve
-    exponentially small values (deep Gaussian tails).  Returns an mpmath
-    float.
+    integrated with mpmath between consecutive zeros of the sine factor,
+    out to where the declared tail bound drops below 10^-dps.  Needed where
+    the double-precision oscillatory quadrature cannot resolve exponentially
+    small values (deep Gaussian tails).  Returns an mpmath float.
     """
     import mpmath as mp
 
@@ -366,9 +373,10 @@ def mu_hat_highprec(w: RadialWeight, xi_norm: float, dps: int = 35):
         raise ValueError("high-precision path requires xi_norm > 0")
     with mp.workdps(dps):
         x = mp.mpf(xi_norm)
-        R = mp.mpf(truncation_radius(w))
-        if w.support_radius is None:
-            R = R + 12  # generous pad; the mp path targets far smaller tails
+        # an unbounded tail is cut where its declared bound drops below the
+        # working precision, so wide weights integrate out far enough; the
+        # bound is a double, so the cut stops at the smallest normal one
+        R = mp.mpf(truncation_radius(w, max(10.0**-dps, np.finfo(float).tiny)))
         f = lambda r: w.profile_mp(r) * mp.sin(2 * mp.pi * r * x) / r
         zeros = [mp.mpf(k) / (2 * x) for k in range(1, int(2 * x * R) + 1)]
         points = [mp.mpf(0)] + zeros[::3] + [R]

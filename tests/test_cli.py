@@ -7,10 +7,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import nlops
 from nlops.cli import COMMANDS, ExperimentConfig, main, parse_terms
+from nlops.fields import localization_table, random_trig_field
+from nlops.operators import preset
+from nlops.weights import annulus_family
 
 SCI = re.compile(r"-?\d\.\d{16}e[+-]\d{2,3}$")
 
@@ -237,6 +241,8 @@ class TestExitStatuses:
             ("area", "[area]\ncell = 10\n", "[area] cell"),
             ("atomic-demo", "[atomic]\nss = 0.5\n", "[atomic] ss"),
             ("localize", "[DEFAULT]\nn_grid = 8\n", "[DEFAULT] n_grid"),
+            ("localize", "[field]\nterms = 1 | -0.5j\ncount = 3\n", "[field] count"),
+            ("localize", "[field]\ncount = 3\n", "[field] count"),
         ],
         ids=[
             "bessel-t_mx",
@@ -255,6 +261,8 @@ class TestExitStatuses:
             "area-cell",
             "atomic-ss",
             "localize-DEFAULT-n_grid",
+            "localize-terms-and-count",
+            "localize-default-field-count",
         ],
     )
     def test_unread_key_is_config_error(self, tmp_path, capsys, subcommand, text, names):
@@ -356,6 +364,11 @@ class TestExitStatuses:
         assert capsys.readouterr().err.startswith("CONFIG ERROR")
         assert not (tmp_path / "zeros.csv").exists()
 
+    def test_negative_seed(self, tmp_path, capsys):
+        assert run(tmp_path, "witness", "--seed", "-1") == 2
+        assert capsys.readouterr().err.startswith("CONFIG ERROR: --seed")
+        assert not (tmp_path / "witness.csv").exists()
+
     def test_failed_invariant_exits_one(self, tmp_path, capsys):
         # s = 0.3 is not a kernel scale, so the witness comparison fails
         # numerically rather than through configuration
@@ -410,13 +423,36 @@ class TestDeterminism:
         assert (a / "multiplier.csv").read_bytes() == (b / "multiplier.csv").read_bytes()
 
 
+class TestFieldCount:
+    def test_lp_error_is_the_mean_over_fields_in_sequence(self, tmp_path):
+        # the fields are drawn one after another from the seeded generator
+        # (default max_degree and num_terms) and share one multiplier cache
+        text = "[run]\nn_grid = 32\neps_list = 0.1 0.05 0.025\n[field]\nkind = random\ncount = 3\n"
+        assert run(tmp_path, "localize", "--config", write_config(tmp_path, text), "--seed", "3") == 0
+        lines = (tmp_path / "localize.csv").read_text().splitlines()
+        rows = [line for line in lines if not line.startswith("#")][1:]
+        got = [float(row.split(",")[1]) for row in rows]
+        rng, cache = np.random.default_rng(3), {}
+        op, eps_list = preset("derivative", 1), [0.1, 0.05, 0.025]
+        totals = np.zeros(len(eps_list))
+        for _ in range(3):
+            u = random_trig_field(1, 32, 1, rng, max_degree=3, num_terms=6)
+            totals += [err for _, err in localization_table(op, u, annulus_family(), 2.0, eps_list, cache)]
+        assert got == list(totals / 3)
+
+
 class TestConfigParsing:
     def test_readme_example_runs(self, tmp_path, capsys):
-        # the README's example INI is a localize config, and must stay one
+        # every README example INI runs with the subcommand of the last
+        # `nlops <subcommand>` line above it; the first is a localize config
         readme = (Path(__file__).parents[1] / "README.md").read_text()
-        text = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
-        assert run(tmp_path, "localize", "--config", write_config(tmp_path, text)) == 0
-        assert capsys.readouterr().out.startswith("PASS localize")
+        blocks = list(re.finditer(r"```ini\n(.*?)```", readme, re.S))
+        subcommands = [re.findall(r"^nlops ([\w-]+)", readme[: b.start()], re.M)[-1] for b in blocks]
+        assert subcommands[0] == "localize"
+        for i, (block, subcommand) in enumerate(zip(blocks, subcommands)):
+            cfg = write_config(tmp_path, block.group(1))
+            assert run(tmp_path / str(i), subcommand, "--config", cfg) == 0
+            assert capsys.readouterr().out.startswith(f"PASS {subcommand}")
 
     def test_terms_roundtrip(self):
         terms = parse_terms("1 0 | 0.5-0.25j 0; 2 1 | 0 1j", 2, 2)

@@ -235,6 +235,27 @@ class TestHighPrecision:
             want = mp.e ** (-((sigma * kappa) ** 2) / 2)
             assert float(abs(got - want) / want) < 1e-12
 
+    @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0])
+    def test_deep_decade_off_only_by_the_mass_offset(self, sigma):
+        # at the xi where exp(-2 pi^2 sigma^2 xi^2) = 1e-30, the normalized
+        # weight's multiplier differs from that closed form only by its
+        # quadrature mass: sigma^2 exactly, computed short by the truncated
+        # tail; integrating the tail out too short adds 3e-10 at sigma = 2
+        base = gaussian_modification(1, sigma)
+        xi = np.sqrt(30.0 * np.log(10.0) / (2.0 * pi**2 * sigma**2))
+        with mp.workdps(60):
+            got = mu_hat_highprec(normalize(base), xi, dps=60)
+            rel = float(got / mp.exp(-2 * mp.pi**2 * mp.mpf(sigma) ** 2 * mp.mpf(xi) ** 2) - 1)
+        assert abs(rel - (sigma**2 / base.mass - 1.0)) < 1e-14
+
+    def test_precision_past_a_double_tail(self):
+        # 10^-324 is 0.0 as a double, below every tail bound; the cut stops
+        # at the smallest normal double instead of failing
+        w = gaussian_modification(1, 1.0)
+        with mp.workdps(324):
+            got = mu_hat_highprec(w, 0.01, dps=324) / mp.exp(-2 * mp.pi**2 * mp.mpf(0.01) ** 2)
+        assert abs(float(got - 1)) < 1e-14
+
     def test_requires_mp_profile(self):
         with pytest.raises(WeightError):
             mu_hat_highprec(annulus(0.1), 1.0)
