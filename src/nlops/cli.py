@@ -482,13 +482,13 @@ def build_parser() -> argparse.ArgumentParser:
         prog="nlops",
         description="Experiments with sphere-averaged and weighted radial first-order operators.",
     )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name, help=f"run the {name} experiment")
-        p.add_argument("--config", default=None, help="INI config file")
-        p.add_argument("--out", default=".", help="output directory for CSV artifacts")
-        p.add_argument("--threads", type=int, default=1, help="hint only (>= 1); sweeps run in order on one thread")
-        p.add_argument("--seed", type=int, default=0, help="seed for random test fields (>= 0)")
+    parser.add_argument(
+        "subcommand", choices=COMMANDS, metavar="subcommand", help=f"the experiment: {', '.join(COMMANDS)}"
+    )
+    parser.add_argument("--config", default=None, help="INI config file")
+    parser.add_argument("--out", default=".", help="output directory for CSV artifacts")
+    parser.add_argument("--threads", type=int, default=1, help="hint only (>= 1); sweeps run in order on one thread")
+    parser.add_argument("--seed", type=int, default=0, help="seed for random test fields (>= 0)")
     return parser
 
 

@@ -2,22 +2,25 @@
 
 A weight is a nonnegative radial profile rhohat on (0, infinity); its mass is
 the full-space integral int_0^inf n omega_n r^(n-1) rhohat(r) dr.  The module
-computes masses and tails by composite Gauss-Legendre panels (with a
-power-law substitution taming integrable singularities at the origin), the
-oscillatory Bessel multiplier
+computes masses, tails, the superposition measure n omega_n rhohat(r)
+r^(n-1) dr that expresses the radial operator as an average of sphere-scale
+operators, and the oscillatory Bessel multiplier
 
-    mu_hat(xi) = |xi|^(-n/2) int_0^inf n r^(n/2-1) rhohat(r) J_{n/2}(2 pi r |xi|) dr,
+    mu_hat(xi) = |xi|^(-n/2) int_0^inf n r^(n/2-1) rhohat(r) J_{n/2}(2 pi r |xi|) dr.
 
-and the superposition measure n omega_n rhohat(r) r^(n-1) dr that expresses
-the radial operator as an average of sphere-scale operators.  ``mu_hat``
-takes one frequency or an array of them; it builds the panels per frequency
-and evaluates the Bessel factor of all of them together, MU_HAT_BLOCK radial
-nodes per ``bessel_j`` call, which removes the per-call overhead of one
-quadrature per frequency.
+One radial rule serves all four: composite Gauss-Legendre panels split at
+the profile's breakpoints, with a power-law substitution taming an
+integrable singularity at the origin.  The multiplier's panels are in
+addition no wider than 1/(4 xi), so each sees at most a quarter period of
+the Bessel factor.  ``mu_hat`` takes one frequency or an array of them; it
+builds the rule per frequency and evaluates the Bessel factor of all of
+them together, MU_HAT_BLOCK radial nodes per ``bessel_j`` call, which
+removes the per-call overhead of one quadrature per frequency.
 
-Shipped presets: ``fractional`` (indicator of the unit ball over |x|^(n-s)),
-``gaussian`` (|x|^2 times a normal density), ``annulus`` (uniform on
-[eps, 2*eps], n=1), and a smooth compactly supported ``bump``.
+Shipped presets: ``fractional`` (indicator of the unit ball over |x|^(n-s),
+for n = 1, 2, 3 and s from 0.05, 0.1 and 0.2 up to 1), ``gaussian`` (|x|^2
+times a normal density), ``annulus`` (uniform on [eps, 2*eps], n=1), and a
+smooth compactly supported ``bump``.
 """
 
 from __future__ import annotations
@@ -93,7 +96,7 @@ class RadialWeight:
                 "unbounded support requires an analytic tail bound; "
                 "custom profiles must declare a support radius"
             )
-        object.__setattr__(self, "mass", _radial_integral(self, 0.0))
+        object.__setattr__(self, "mass", float(np.sum(superposition_measure(self)[1])))
         if not np.isfinite(self.mass) or self.mass <= 0.0:
             raise WeightError(f"weight mass must be finite and positive, got {self.mass}")
 
@@ -143,67 +146,52 @@ def _substitution_beta(w: RadialWeight) -> float:
     return k / (w.n + a)
 
 
-def _segment_boundaries(w: RadialWeight, lo: float, hi: float) -> list[float]:
-    pts = [lo] + [b for b in sorted(w.breakpoints) if lo < b < hi] + [hi]
-    return pts
+def _panel_blocks(
+    w: RadialWeight, lo: float, R: float, width: float, nodes_per_panel: int
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(nodes, weights) blocks of the radial rule for int_lo^R f(r) dr.
 
-
-def _radial_integral(w: RadialWeight, delta: float, r_max: Optional[float] = None) -> float:
-    """int_delta^R n omega_n r^(n-1) rhohat(r) dr with singularity handling."""
-    nodes, weights = superposition_measure(w, delta=delta, r_max=r_max)
-    return float(np.sum(weights))
+    From the origin a singular profile gets the substituted block
+    (r = u^beta on 24 panels graded toward u = 0), which ends at the first
+    breakpoint or at ``width``, whichever comes first.  Each segment between
+    breakpoints then gets uniform panels no wider than min(width, R/32), at
+    least 8 of them.
+    """
+    beta = _substitution_beta(w)
+    cuts = sorted(b for b in w.breakpoints if lo < b < R)
+    blocks = []
+    if lo == 0.0 and beta != 1.0:
+        lo = min(cuts[0] if cuts else R, width)
+        u_nodes, u_weights = panel_rule(graded_boundaries(0.0, lo ** (1.0 / beta), 24, 2.0), nodes_per_panel)
+        blocks.append((u_nodes**beta, u_weights * (beta * u_nodes ** (beta - 1.0))))
+    points = [lo] + [b for b in cuts if b > lo] + [R]
+    step = min(width, R / 32.0)
+    for seg_lo, seg_hi in zip(points[:-1], points[1:]):
+        if seg_lo < seg_hi:
+            count = max(8, int(np.ceil((seg_hi - seg_lo) / step)))
+            blocks.append(panel_rule(np.linspace(seg_lo, seg_hi, count + 1), nodes_per_panel))
+    return blocks
 
 
 def superposition_measure(
-    w: RadialWeight,
-    boundaries: Optional[np.ndarray] = None,
-    *,
-    delta: float = 0.0,
-    r_max: Optional[float] = None,
-    nodes_per_panel: int = PANEL_NODES,
+    w: RadialWeight, *, delta: float = 0.0, r_max: Optional[float] = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Discrete measure approximating n omega_n rhohat(r) r^(n-1) dr.
 
     Returns (radii, weights); the weights sum to the weight's mass on
     (delta, R] to within the quadrature tolerance (1e-8 relative for the
-    shipped presets).  Explicit panel ``boundaries`` override the default
-    graded construction, which splits at profile breakpoints and applies the
-    origin substitution when the profile is singular.
+    shipped presets).  The radii are the nodes of the one radial rule that
+    also gives the mass, ``tail`` and, with panels no wider than 1/(4 xi),
+    ``mu_hat``: panels split at the profile's breakpoints, with the origin
+    substitution when the profile is singular.
     """
     R = truncation_radius(w) if r_max is None else float(r_max)
     if delta >= R:
         return np.array([]), np.array([])
-    front = unit_ball_volume(w.n) * w.n
-
-    if boundaries is not None:
-        r_nodes, r_weights = panel_rule(np.asarray(boundaries, float), nodes_per_panel)
-        vals = front * r_nodes ** (w.n - 1) * w.profile(r_nodes)
-        return r_nodes, r_weights * vals
-
-    segments = _segment_boundaries(w, max(delta, 0.0), R)
-    all_nodes = []
-    all_weights = []
-    beta = _substitution_beta(w)
-    for seg_lo, seg_hi in zip(segments[:-1], segments[1:]):
-        if seg_lo == 0.0 and beta != 1.0:
-            # substituted panel block: r = u^beta turns the integrand into
-            # ~ u^|a| times a smooth factor; grade toward u = 0 anyway.
-            u_hi = seg_hi ** (1.0 / beta)
-            u_bounds = graded_boundaries(0.0, u_hi, 24, power=2.0)
-            u_nodes, u_weights = panel_rule(u_bounds, nodes_per_panel)
-            r_nodes = u_nodes**beta
-            jac = beta * u_nodes ** (beta - 1.0)
-            vals = front * r_nodes ** (w.n - 1) * w.profile(r_nodes)
-            all_nodes.append(r_nodes)
-            all_weights.append(u_weights * jac * vals)
-        else:
-            count = max(8, int(np.ceil(32.0 * (seg_hi - seg_lo) / R)))
-            seg_bounds = np.linspace(seg_lo, seg_hi, count + 1)
-            r_nodes, r_weights = panel_rule(seg_bounds, nodes_per_panel)
-            vals = front * r_nodes ** (w.n - 1) * w.profile(r_nodes)
-            all_nodes.append(r_nodes)
-            all_weights.append(r_weights * vals)
-    return np.concatenate(all_nodes), np.concatenate(all_weights)
+    blocks = _panel_blocks(w, max(delta, 0.0), R, np.inf, PANEL_NODES)
+    r = np.concatenate([nodes for nodes, _ in blocks])
+    q = np.concatenate([weights for _, weights in blocks])
+    return r, q * (unit_ball_volume(w.n) * w.n * r ** (w.n - 1) * w.profile(r))
 
 
 def mass(w: RadialWeight) -> float:
@@ -215,7 +203,7 @@ def tail(w: RadialWeight, delta: float) -> float:
     """Mass outside the ball of radius delta (same quadrature, restricted)."""
     if delta <= 0:
         raise ValueError("tail requires delta > 0")
-    return _radial_integral(w, delta)
+    return float(np.sum(superposition_measure(w, delta=delta)[1]))
 
 
 def normalize(w: RadialWeight) -> RadialWeight:
@@ -250,29 +238,6 @@ def normalize(w: RadialWeight) -> RadialWeight:
 # Fourier multiplier
 
 
-def _mu_hat_panels(w: RadialWeight, xi: float, nodes_per_panel: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(nodes, weights) of each panel block of the multiplier quadrature at xi > 0."""
-    R = truncation_radius(w)
-    beta = _substitution_beta(w)
-    osc_width = 1.0 / (4.0 * xi)
-    blocks = []
-    # near-origin block: substituted if singular, capped so the phase stays
-    # below ~pi/2 across it
-    r_sing = min(R, osc_width) if beta != 1.0 else 0.0
-    if beta != 1.0:
-        keep = [b for b in sorted(w.breakpoints) if b < r_sing]
-        r_sing = keep[0] if keep else r_sing
-        u_hi = r_sing ** (1.0 / beta)
-        u_nodes, u_weights = panel_rule(graded_boundaries(0.0, u_hi, 24, 2.0), nodes_per_panel)
-        blocks.append((u_nodes**beta, u_weights * (beta * u_nodes ** (beta - 1.0))))
-    if r_sing < R:
-        segments = _segment_boundaries(w, r_sing, R)
-        for seg_lo, seg_hi in zip(segments[:-1], segments[1:]):
-            count = max(4, int(np.ceil((seg_hi - seg_lo) / min(osc_width, max(R / 32.0, 1e-12)))))
-            blocks.append(panel_rule(np.linspace(seg_lo, seg_hi, count + 1), nodes_per_panel))
-    return blocks
-
-
 def _mu_hat_quad(w: RadialWeight, xis: np.ndarray, nodes_per_panel: int) -> np.ndarray:
     """Panel quadrature of the oscillatory multiplier integral at each xi > 0.
 
@@ -282,8 +247,11 @@ def _mu_hat_quad(w: RadialWeight, xis: np.ndarray, nodes_per_panel: int) -> np.n
     in block order.
     """
     half = w.n / 2.0
+    R = truncation_radius(w)
     totals = [0.0] * len(xis)
-    blocks = ((i, r, q) for i, xi in enumerate(xis) for r, q in _mu_hat_panels(w, xi, nodes_per_panel))
+    blocks = (
+        (i, r, q) for i, xi in enumerate(xis) for r, q in _panel_blocks(w, 0.0, R, 1.0 / (4.0 * xi), nodes_per_panel)
+    )
     for group in _node_groups(blocks):
         r = np.concatenate([r for _, r, _ in group])
         freq = np.concatenate([np.full(r.size, xis[i]) for i, r, _ in group])
@@ -324,8 +292,9 @@ def mu_hat(w: RadialWeight, xi_norm):
 
     At zero frequency the value is the weight's mass (exactly 1 for
     normalized weights, up to the 1e-8 mass quadrature tolerance).  The
-    quadrature uses panels no wider than 1/(4 xi) so each panel sees at most
-    a quarter period of the Bessel oscillation.  The panel blocks of all the
+    quadrature is the radial rule of the mass and ``superposition_measure``
+    with panels no wider than 1/(4 xi), so each panel sees at most a quarter
+    period of the Bessel oscillation.  The panel blocks of all the
     given frequencies are evaluated together, MU_HAT_BLOCK radial nodes per
     ``bessel_j`` call; a scalar is a one-element array and returns a float.
     """
@@ -442,10 +411,31 @@ def positivity_report(xi_grid, vals) -> PositivityReport:
 # Presets
 
 
+#: Smallest exponent s, per dimension n, that the radial rule resolves for
+#: ``fractional``.  Below it the substituted block's nodes r = u^beta fall
+#: under the profile's 1e-300 floor: r^(s-n) overflows there for n >= 2, and
+#: for n = 1 the mass below them (a share of about r^s) is lost.  A scan in
+#: steps of 0.001 found the mass within 1e-12 of n omega_n / s from 0.034,
+#: 0.094 and 0.185 on, and ``mu_hat`` up to xi = 1e4 finite, without a
+#: floating-point warning, from 0.049, 0.097 and 0.192 on.
+FRACTIONAL_MIN_S = {1: 0.05, 2: 0.1, 3: 0.2}
+
+
 def fractional(n: int, s: float) -> RadialWeight:
-    """Indicator of the unit ball over |x|^(n-s); mass n*omega_n/s."""
+    """Indicator of the unit ball over |x|^(n-s); mass n*omega_n/s.
+
+    Defined for n = 1, 2, 3 and s in [FRACTIONAL_MIN_S[n], 1), that is from
+    0.05, 0.1 and 0.2; a smaller s raises ValueError.
+    """
     if not 0.0 < s < 1.0:
         raise ValueError("fractional exponent s must lie in (0, 1)")
+    if n not in FRACTIONAL_MIN_S:
+        raise ValueError(f"fractional weights are defined for n in 1, 2, 3, got n = {n}")
+    if s < FRACTIONAL_MIN_S[n]:
+        raise ValueError(
+            f"fractional exponent s = {s:g} is below {FRACTIONAL_MIN_S[n]:g}, "
+            f"the smallest the radial rule resolves for n = {n}"
+        )
 
     def prof(r):
         r = np.asarray(r, float)
@@ -630,9 +620,15 @@ class ConcentratingFamily:
         return self.generator(eps)
 
 
+def _annulus_preset(n: int = 1, eps: float = 0.1) -> RadialWeight:
+    if n != 1:
+        raise ValueError(f"the annulus weight is defined for n = 1 only, got n = {n}")
+    return annulus(eps)
+
+
 WEIGHT_PRESETS = {
     "fractional": lambda n=1, s=0.5: fractional(n, s),
     "gaussian": lambda n=1, sigma=1.0: gaussian_modification(n, sigma),
-    "annulus": lambda n=1, eps=0.1: annulus(eps),
+    "annulus": _annulus_preset,
     "bump": bump,
 }

@@ -114,6 +114,16 @@ class TestExitStatuses:
         assert run(tmp_path, "bessel", "--config", cfg) == 2
         assert capsys.readouterr().err.startswith("CONFIG ERROR: malformed config")
 
+    @pytest.mark.parametrize(
+        "argv,phrase", [(["cauchy"], "invalid choice"), ([], "required")], ids=["unknown", "missing"]
+    )
+    def test_bad_subcommand_exits_2_through_argparse(self, tmp_path, capsys, argv, phrase):
+        with pytest.raises(SystemExit) as exc:
+            run(tmp_path, *argv)
+        assert exc.value.code == 2
+        assert phrase in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_missing_config_file(self, tmp_path):
         assert run(tmp_path, "bessel", "--config", str(tmp_path / "absent.ini")) == 2
 
@@ -195,6 +205,8 @@ class TestExitStatuses:
             ("localize", "[field]\nterms = 32 | 1\n", "[field] terms"),
             ("localize", "[weight]\npreset = gaussian\nsigma = 0.3\n", "[weight] preset"),
             ("multiplier", "[weight]\npreset = bump\n", "[weight] n"),
+            ("multiplier", "[weight]\npreset = fractional\nn = 3\ns = 0.1\n", "s = 0.1 is below 0.2"),
+            ("multiplier", "[weight]\npreset = annulus\nn = 2\n", "n = 2"),
         ],
         ids=[
             "num_terms-0",
@@ -208,6 +220,8 @@ class TestExitStatuses:
             "terms-nyquist",
             "localize-gaussian",
             "bump-without-n",
+            "fractional-small-s",
+            "annulus-n-2",
         ],
     )
     def test_bad_field_or_weight_is_config_error(self, tmp_path, capsys, subcommand, text, names):

@@ -13,8 +13,10 @@ from scipy.special import sici
 
 from nlops.bessel import ball_transform, unit_ball_volume
 from nlops.weights import (
+    FRACTIONAL_MIN_S,
     PANEL_NODES,
     RadialWeight,
+    WEIGHT_PRESETS,
     WeightError,
     annulus,
     annulus_family,
@@ -47,11 +49,13 @@ def si_annulus_mu(eps, xi):
 
 class TestMasses:
     def test_fractional_mass_closed_form(self):
-        # n omega_n / s
-        for n in (1, 2, 3):
-            w = fractional(n, 0.5)
-            expected = n * unit_ball_volume(n) / 0.5
-            assert abs(w.mass - expected) < 1e-12 * expected
+        # n omega_n / s, from the smallest exponent the rule resolves on
+        for n, bound in FRACTIONAL_MIN_S.items():
+            for s in np.round(np.arange(bound, 0.995, 0.01), 2):
+                w = fractional(n, s)
+                expected = n * unit_ball_volume(n) / s
+                assert abs(w.mass - expected) < 1e-12 * expected
+            assert np.all(np.isfinite(mu_hat(fractional(n, bound), np.array([0.3, 10.0, 1000.0]))))
 
     def test_gaussian_mass_is_sigma_squared_in_1d(self):
         for sigma in (0.5, 1.0, 1.7):
@@ -141,6 +145,19 @@ class TestMuHat:
     @pytest.mark.parametrize("xi", [0.3, 1.0, 4.0, 17.0])
     def test_annulus_against_sine_integral(self, eps, xi):
         assert abs(mu_hat(annulus(eps), xi) - si_annulus_mu(eps, xi)) < 1e-12
+
+    def test_panels_follow_the_oscillation(self):
+        # the radial rule's panels, the substituted block's included, are no
+        # wider than 1/(4 xi) here: with the mass's panels these values are
+        # off by 1e-4 to 1e-3
+        xi = 50.0
+        # the closed form exp(-2 pi^2 xi^2) underflows to 0
+        assert abs(mu_hat(normalize(gaussian_modification(1, 1.0)), xi)) < 1e-14
+        with mp.workdps(20):
+            # fractional(1, 1/2): (1/(pi xi)) int_0^1 r^(-3/2) sin(2 pi r xi) dr
+            zeros = [mp.mpf(k) / (2 * xi) for k in range(1, int(2 * xi))]
+            ref = float(mp.quad(lambda r: r**-1.5 * mp.sin(2 * mp.pi * r * xi), [0] + zeros + [1]) / (mp.pi * xi))
+        assert abs(mu_hat(fractional(1, 0.5), xi) - ref) < 1e-12 * ref
 
     def test_annulus_localization_values_frozen(self):
         # 1 - mu_hat at unit frequency, and the halving ratio, computed from
@@ -307,12 +324,6 @@ class TestSuperposition:
         _, rw = superposition_measure(w, delta=0.15)
         assert abs(np.sum(rw) - 0.5) < 1e-12
 
-    def test_custom_boundaries(self):
-        w = annulus(0.1)
-        nodes, rw = superposition_measure(w, boundaries=np.linspace(0.1, 0.2, 33))
-        assert nodes.size == 32 * 16
-        assert abs(np.sum(rw) - 1.0) < 1e-12
-
     def test_nodes_positive_and_sorted_per_block(self):
         nodes, _ = superposition_measure(normalize(fractional(1, 0.5)))
         assert np.all(nodes > 0.0)
@@ -358,6 +369,11 @@ class TestValidation:
             fractional(1, 0.0)
         with pytest.raises(ValueError):
             fractional(1, 1.0)
+        for n, bound in FRACTIONAL_MIN_S.items():
+            with pytest.raises(ValueError, match=f"s = {bound - 0.001:g} .* n = {n}"):
+                WEIGHT_PRESETS["fractional"](n=n, s=bound - 0.001)
+        with pytest.raises(ValueError, match="n = 4"):
+            fractional(4, 0.5)
 
     def test_annulus_positive_eps(self):
         with pytest.raises(ValueError):
