@@ -42,6 +42,9 @@ POISSON_ROWS = 2**6
 #: once terms fall below 1e-18 in magnitude.
 SERIES_MAX_TERMS = 60
 
+#: Bound on the Hankel-expansion term index, with the series' early stop.
+ASYMPTOTIC_MAX_TERMS = 25
+
 
 def _as_order(alpha) -> float:
     a = float(alpha)
@@ -63,11 +66,11 @@ def _series(alpha: float, t: np.ndarray) -> np.ndarray:
     return out
 
 
-def _poisson(alpha: float, t: np.ndarray, order: int = POISSON_ORDER) -> np.ndarray:
+def _poisson(alpha: float, t: np.ndarray) -> np.ndarray:
     # Poisson representation: J_alpha(t) = (t/2)^alpha / (Gamma(alpha+1/2)
     # Gamma(1/2)) * int_{-1}^{1} cos(t s) (1-s^2)^(alpha-1/2) ds, evaluated
     # with the Gauss-Jacobi rule matching the (1-s^2)^(alpha-1/2) weight.
-    x, w = gauss_jacobi(order, alpha - 0.5)
+    x, w = gauss_jacobi(POISSON_ORDER, alpha - 0.5)
     pref = (t / 2.0) ** alpha / (gamma(alpha + 0.5) * gamma(0.5))
     flat = t.reshape(-1)
     integral = np.empty_like(flat)
@@ -77,7 +80,7 @@ def _poisson(alpha: float, t: np.ndarray, order: int = POISSON_ORDER) -> np.ndar
     return pref * integral.reshape(t.shape)
 
 
-def _asymptotic(alpha: float, t: np.ndarray, kmax: int = 25) -> np.ndarray:
+def _asymptotic(alpha: float, t: np.ndarray) -> np.ndarray:
     # Hankel expansion J_alpha(t) ~ sqrt(2/(pi t)) [P cos(omega) - Q sin(omega)]
     # with omega = t - alpha pi/2 - pi/4.  The coefficient ratio
     # a_k/a_{k-1} = (mu - (2k-1)^2)/(8 k t) terminates exactly for
@@ -86,7 +89,7 @@ def _asymptotic(alpha: float, t: np.ndarray, kmax: int = 25) -> np.ndarray:
     p = np.ones_like(t)
     q = np.zeros_like(t)
     ak = np.ones_like(t)
-    for k in range(1, kmax):
+    for k in range(1, ASYMPTOTIC_MAX_TERMS):
         ak = ak * (mu - (2 * k - 1) ** 2) / (8.0 * k * t)
         if k % 2 == 0:
             p += ak * (-1) ** (k // 2)

@@ -341,11 +341,7 @@ def cmd_localize(cfg: ExperimentConfig, rng) -> tuple:
     p, eps_list = cfg.run("p"), cfg.run("eps_list")
     if op.n != fam(eps_list[0]).n:
         raise ConfigError("localization family dimension does not match the operator")
-    # the fields share one multiplier cache; each error is the mean over the
-    # fields, summed in order
-    cache = {}
-    tables = [fields.localization_table(op, u, fam, float(p), eps_list, cache) for u in us]
-    table = [(rows[0][0], sum(err for _, err in rows) / len(rows)) for rows in zip(*tables)]
+    table = fields.localization_table(op, us, fam, float(p), eps_list)
     slack = 1.0 + cfg.tolerance("localize_monotone_slack")
     ok = all(b <= slack * a for (_, a), (_, b) in zip(table, table[1:]))
     eps, err = table[-1]

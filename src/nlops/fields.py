@@ -10,7 +10,9 @@ operators are radial multipliers, so they share one route: a table over the
 frequency shells |m| that carry spectrum, filled by one call of the
 multiplier and scattered back before one inverse FFT.  Direct (quadrature)
 evaluations of the averaged operators are provided as independent
-cross-checks of the multiplier routes.
+cross-checks of the multiplier routes.  Both radial routes integrate the
+weight cut where its tail falls below ``weights.TAIL_CUTOFF``, so they agree
+to rounding.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 from nlops.bessel import ball_transform, bessel_j
 from nlops.operators import FirstOrderOperator, symbol, wave_rank, wave_ranks
 from nlops.quadrature import sphere_quadrature, sphere_surface
-from nlops.weights import RadialWeight, mu_hat, superposition_measure, truncation_radius
+from nlops.weights import RadialWeight, mu_hat, superposition_measure
 
 #: Bessel evaluations are accurate to a few 1e-14; a conservative error bar
 #: used when classifying near-zero values in kernel scans.
@@ -41,9 +43,6 @@ KERNEL_GRAY_TOL = 1e-4
 #: Spectrum entries below this relative magnitude count as empty when the
 #: averaged operators prune their frequency work set.
 SPECTRUM_FLOOR = 1e-14
-
-#: Weight tail neglected by the direct radial route.
-DIRECT_TAIL = 1e-8
 
 #: Complex exponentials held at once by the direct routes' phase buffer.
 DIRECT_BLOCK = 2**13
@@ -327,14 +326,15 @@ def apply_radial_direct(
 ) -> TorusField:
     """Weighted radial operator as a superposition of sphere-scale operators.
 
-    Uses the weight's superposition measure on (0, R], R chosen so the
-    neglected tail is below DIRECT_TAIL, and the same sphere rule as the
-    direct sphere-scale route.  Never evaluates the weight's multiplier.
+    Uses the weight's superposition measure on (0, R], cut at the
+    ``TAIL_CUTOFF`` radius like the mass and the multiplier, and the same
+    sphere rule as the direct sphere-scale route.  Never evaluates the
+    weight's multiplier.
     """
     _check_compat(op, u)
     if w.n != u.n:
         raise ValueError(f"weight dimension {w.n} does not match field dimension {u.n}")
-    radii, rweights = superposition_measure(w, r_max=truncation_radius(w, DIRECT_TAIL))
+    radii, rweights = superposition_measure(w)
     return _direct_average(op, u, radii, rweights, quad_order)
 
 
@@ -416,16 +416,17 @@ def random_trig_field(
 
 def localization_table(
     op: FirstOrderOperator,
-    u: TorusField,
+    us: Sequence[TorusField],
     family,
     p,
     eps_list: Sequence[float],
-    mu_cache: Optional[dict] = None,
 ) -> list[tuple[float, float]]:
-    """Rows (eps, ||A_w(eps) u - A u||_p) for a concentrating weight family.
+    """Rows (eps, mean of ||A_w(eps) u - A u||_p over the fields ``us``) for
+    a concentrating weight family.
 
-    ``mu_cache`` nests one multiplier cache per eps, so repeated calls with
-    the same family and scales skip the Bessel quadrature.
+    Each eps builds one weight and one multiplier cache, which the fields
+    fill in order; the row error is the sum of their errors, in order, over
+    their count.
 
     The paper states localization without a rate; the rate comes from the
     family.  For ``annulus_family`` (n=1) the multiplier is the sine-integral
@@ -434,14 +435,15 @@ def localization_table(
     int rho h^2 dh = 7 eps^2 / 3, so the p=2 row is
     (7/18) eps^2 ||u'''||_2 (1 + O(eps^2)): quadratic, not linear, in eps.
     """
-    base = apply_local(op, u)
-    cache = {} if mu_cache is None else mu_cache
+    bases = [apply_local(op, u) for u in us]
     rows = []
     for eps in eps_list:
-        w = family(eps)
-        averaged = apply_radial_spectral(op, u, w, cache.setdefault(float(eps), {}))
-        diff = TorusField(n=u.n, N=u.N, values=averaged.values - base.values)
-        rows.append((float(eps), lp_norm(diff, p)))
+        w, cache = family(eps), {}
+        errs = []
+        for u, base in zip(us, bases):
+            averaged = apply_radial_spectral(op, u, w, cache)
+            errs.append(lp_norm(TorusField(n=u.n, N=u.N, values=averaged.values - base.values), p))
+        rows.append((float(eps), sum(errs) / len(errs)))
     return rows
 
 

@@ -33,6 +33,9 @@ BOUNDARY_ATOL = 1e-12
 #: Ray parameter for the default recession-function approximation.
 RECESSION_T = 1e6
 
+#: Probes of ``linf_gap``: the midpoints of this many equal cells of (-1, 1).
+LINF_PROBES = 400
+
 
 class MeasureError(ValueError):
     """Base class for measure evaluation errors."""
@@ -141,34 +144,34 @@ def total_variation(mu: MeasureField) -> float:
     return tv
 
 
-def zero_measure(window, cells: int, dim: int = 1, n: int = 1) -> MeasureField:
-    shape = (cells,) * n + (dim,)
-    return MeasureField(n=n, window=np.asarray(window, float).reshape(n, 2), density=np.zeros(shape), atoms=(), dim=dim)
+def zero_measure(window, cells: int) -> MeasureField:
+    return MeasureField(n=1, window=np.asarray(window, float).reshape(1, 2), density=np.zeros((cells, 1)), atoms=(), dim=1)
 
 
-def dirac(window, location, weight, cells: int = 0, n: int = 1) -> MeasureField:
-    """Single atom, optionally carried on a zero density grid."""
+def dirac(window, location, weight, cells: int = 0) -> MeasureField:
+    """Single atom in a 1D window, optionally carried on a zero density grid."""
     weight = np.atleast_1d(np.asarray(weight, float))
-    dens = None if cells == 0 else np.zeros((cells,) * n + (weight.size,))
+    dens = None if cells == 0 else np.zeros((cells, weight.size))
     return MeasureField(
-        n=n,
-        window=np.asarray(window, float).reshape(n, 2),
+        n=1,
+        window=np.asarray(window, float).reshape(1, 2),
         density=dens,
         atoms=((location, weight),),
         dim=weight.size,
     )
 
 
-def from_density_fn(window, cells: int, fn: Callable, dim: int = 1) -> MeasureField:
-    """1D measure whose density samples ``fn`` at cell centers."""
+def from_density_fn(window, cells: int, fn: Callable) -> MeasureField:
+    """1D measure whose density samples ``fn`` at cell centers; ``fn``
+    returns shape (cells,) or (cells, dim)."""
     window = np.asarray(window, float).reshape(1, 2)
     _, centers = _grid(window[0, 0], window[0, 1], cells)
     vals = np.asarray(fn(centers), dtype=float)
     if vals.ndim == 1:
         vals = vals[:, None]
-    if vals.shape != (cells, dim):
-        raise MeasureError(f"density function returned shape {vals.shape}, expected ({cells}, {dim})")
-    return MeasureField(n=1, window=window, density=vals, atoms=(), dim=dim)
+    if vals.ndim != 2 or vals.shape[0] != cells:
+        raise MeasureError(f"density function returned shape {vals.shape}, expected ({cells},) or ({cells}, dim)")
+    return MeasureField(n=1, window=window, density=vals, atoms=(), dim=vals.shape[1])
 
 
 def sign_measure(window=(-2.0, 2.0), cells: int = 8000) -> MeasureField:
@@ -288,7 +291,7 @@ def radial_of_measure(mu: MeasureField, w: RadialWeight, x) -> np.ndarray:
 # Sup-norm localization gap
 
 
-def linf_gap(eps: float, probe_count: int = 400) -> float:
+def linf_gap(eps: float) -> float:
     """Sup-norm distance on (-1, 1) between the annulus-averaged derivative
     of u(t) = |t| and the pointwise derivative sign(t).
 
@@ -300,7 +303,7 @@ def linf_gap(eps: float, probe_count: int = 400) -> float:
         raise ValueError("eps must lie in (0, 1/4)")
     w = annulus(eps)
     mu = sign_measure()
-    probes = -1.0 + (np.arange(probe_count) + 0.5) * (2.0 / probe_count)
+    probes = -1.0 + (np.arange(LINF_PROBES) + 0.5) * (2.0 / LINF_PROBES)
     worst = 0.0
     for t in probes:
         val = radial_of_measure(mu, w, t)[0]
@@ -413,17 +416,15 @@ def area_convergence_table(
     return rows
 
 
-def area_vs_l1(
-    fields: Sequence[MeasureField], limit: MeasureField, f: Optional[AreaIntegrand] = None
-) -> dict:
-    """Compare L1 convergence and area-functional convergence along a sequence.
+def area_vs_l1(fields: Sequence[MeasureField], limit: MeasureField) -> dict:
+    """Compare L1 convergence and convergence of the area functional
+    (``area_integrand()``) along a sequence.
 
     Returns per-index rows (l1 distance to the limit, gap of the functional)
     and the verdict PASS when the two notions agree: both columns tend to 0
     together, or neither does.
     """
-    if f is None:
-        f = area_integrand()
+    f = area_integrand()
     rows = []
     target = area_functional(limit, f)
     for fld in fields:
@@ -467,19 +468,20 @@ def scenario_smooth_localization(eps_list=(0.2, 0.1, 0.05, 0.025), cells: int = 
     return out, limit
 
 
-def scenario_atom_spread(s_list=(0.2, 0.1, 0.05), cells: int = 800):
-    """Ball averages of a unit atom against the zero density.
+def scenario_atom_spread():
+    """Ball averages of a unit atom at s = 0.2, 0.1, 0.05 on 800 cells of
+    (-1, 1), against the zero density.
 
     Total variation is conserved, so the L1 distance to zero stays 1 and the
     area gap does not vanish either; area_vs_l1 must report agreement.
     Returns (fields, limit).
     """
-    _, centers = _grid(-1.0, 1.0, cells)
+    _, centers = _grid(-1.0, 1.0, 800)
     out = []
-    for s in s_list:
+    for s in (0.2, 0.1, 0.05):
         vals = np.where(np.abs(centers) < s, 1.0 / (2.0 * s), 0.0)[:, None]
         out.append(MeasureField(n=1, window=[[-1.0, 1.0]], density=vals, atoms=(), dim=1))
-    return out, zero_measure((-1.0, 1.0), cells)
+    return out, zero_measure((-1.0, 1.0), 800)
 
 
 # ---------------------------------------------------------------------------
@@ -540,19 +542,17 @@ class PiecewiseBV:
         return (np.asarray(fn(t + h), float) - np.asarray(fn(t - h), float)) / (2.0 * h)
 
 
-def heaviside_bv(window=(-1.0, 1.0)) -> PiecewiseBV:
-    a, b = window
+def heaviside_bv() -> PiecewiseBV:
     return PiecewiseBV(
-        pieces=((a, 0.0, lambda t: np.zeros_like(np.asarray(t, float))), (0.0, b, lambda t: np.ones_like(np.asarray(t, float)))),
+        pieces=((-1.0, 0.0, lambda t: np.zeros_like(np.asarray(t, float))), (0.0, 1.0, lambda t: np.ones_like(np.asarray(t, float)))),
         dfn=(lambda t: np.zeros_like(np.asarray(t, float)), lambda t: np.zeros_like(np.asarray(t, float))),
     )
 
 
-def trig_bv(window=(-1.0, 1.0), freq: float = 1.0) -> PiecewiseBV:
-    a, b = window
-    om = 2.0 * pi * freq
+def trig_bv() -> PiecewiseBV:
+    om = 2.0 * pi
     return PiecewiseBV(
-        pieces=((a, b, lambda t: np.sin(om * np.asarray(t, float))),),
+        pieces=((-1.0, 1.0, lambda t: np.sin(om * np.asarray(t, float))),),
         dfn=(lambda t: om * np.cos(om * np.asarray(t, float)),),
     )
 
@@ -598,12 +598,13 @@ def gauss_green_check(u: PiecewiseBV, s: float, x: float) -> float:
 # Atomic divergence example (2D)
 
 
-def atomic_pair_measure(window=((-12.0, 12.0), (-12.0, 12.0))) -> MeasureField:
-    """Two opposite unit atoms at (0, 1) and (1, 0); the ball average of this
-    measure is discontinuous in the probe point at unit scale."""
+def atomic_pair_measure() -> MeasureField:
+    """Two opposite unit atoms at (0, 1) and (1, 0) in the window
+    [-12, 12]^2; the ball average of this measure is discontinuous in the
+    probe point at unit scale."""
     return MeasureField(
         n=2,
-        window=np.asarray(window, float),
+        window=np.array([[-12.0, 12.0], [-12.0, 12.0]]),
         density=None,
         atoms=(((0.0, 1.0), (1.0,)), ((1.0, 0.0), (-1.0,))),
         dim=1,

@@ -100,23 +100,20 @@ def adjoint(op: FirstOrderOperator) -> FirstOrderOperator:
 
 
 def wave_rank(op: FirstOrderOperator, xi) -> int:
-    """Numerical rank of the symbol at xi.
-
-    A frequency is "active" (belongs to the wave set) iff the rank is
-    positive.  Singular values below ``RANK_RTOL`` times the largest are
-    treated as zero.
-    """
-    a = symbol(op, xi)
-    sv = np.linalg.svd(a, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0
-    return int(np.sum(sv > RANK_RTOL * sv[0]))
+    """Numerical rank of the symbol at the one frequency vector ``xi``."""
+    if np.size(xi) != op.n:
+        raise ValueError(f"frequency vector has length {np.size(xi)}, operator has n={op.n}")
+    return int(wave_ranks(op, xi)[0])
 
 
 def wave_ranks(op: FirstOrderOperator, xis) -> np.ndarray:
-    """``wave_rank`` at each row of ``xis`` (shape (M, n)), by one stacked SVD.
+    """Numerical rank of the symbol at each row of ``xis`` (shape (M, n)), by
+    one stacked SVD.
 
-    The symbols are summed in the order :func:`symbol` uses.
+    A frequency is "active" (belongs to the wave set) iff the rank is
+    positive.  Singular values below ``RANK_RTOL`` times the largest are
+    treated as zero.  The symbols are summed in the order :func:`symbol`
+    uses.
     """
     xis = np.asarray(xis, dtype=float).reshape(-1, op.n)
     mats = np.zeros((len(xis), op.dim_w, op.dim_v))

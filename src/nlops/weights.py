@@ -146,49 +146,48 @@ def _substitution_beta(w: RadialWeight) -> float:
     return k / (w.n + a)
 
 
-def _panel_blocks(
-    w: RadialWeight, lo: float, R: float, width: float, nodes_per_panel: int
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(nodes, weights) blocks of the radial rule for int_lo^R f(r) dr.
+def _panel_blocks(w: RadialWeight, lo: float, R: float, width: float, nodes_per_panel: int):
+    """Yield the (nodes, weights) blocks of the radial rule for int_lo^R f(r) dr.
 
     From the origin a singular profile gets the substituted block
     (r = u^beta on 24 panels graded toward u = 0), which ends at the first
     breakpoint or at ``width``, whichever comes first.  Each segment between
     breakpoints then gets uniform panels no wider than min(width, R/32), at
-    least 8 of them.
+    least 8 of them, yielded at most MU_HAT_BLOCK // nodes_per_panel panels
+    per block, so no block holds more than MU_HAT_BLOCK nodes.
     """
     beta = _substitution_beta(w)
     cuts = sorted(b for b in w.breakpoints if lo < b < R)
-    blocks = []
     if lo == 0.0 and beta != 1.0:
         lo = min(cuts[0] if cuts else R, width)
         u_nodes, u_weights = panel_rule(graded_boundaries(0.0, lo ** (1.0 / beta), 24, 2.0), nodes_per_panel)
-        blocks.append((u_nodes**beta, u_weights * (beta * u_nodes ** (beta - 1.0))))
+        yield u_nodes**beta, u_weights * (beta * u_nodes ** (beta - 1.0))
     points = [lo] + [b for b in cuts if b > lo] + [R]
     step = min(width, R / 32.0)
+    panels = MU_HAT_BLOCK // nodes_per_panel
     for seg_lo, seg_hi in zip(points[:-1], points[1:]):
         if seg_lo < seg_hi:
             count = max(8, int(np.ceil((seg_hi - seg_lo) / step)))
-            blocks.append(panel_rule(np.linspace(seg_lo, seg_hi, count + 1), nodes_per_panel))
-    return blocks
+            edges = np.linspace(seg_lo, seg_hi, count + 1)
+            for k in range(0, count, panels):
+                yield panel_rule(edges[k : k + panels + 1], nodes_per_panel)
 
 
-def superposition_measure(
-    w: RadialWeight, *, delta: float = 0.0, r_max: Optional[float] = None
-) -> tuple[np.ndarray, np.ndarray]:
+def superposition_measure(w: RadialWeight, *, delta: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     """Discrete measure approximating n omega_n rhohat(r) r^(n-1) dr.
 
-    Returns (radii, weights); the weights sum to the weight's mass on
-    (delta, R] to within the quadrature tolerance (1e-8 relative for the
-    shipped presets).  The radii are the nodes of the one radial rule that
-    also gives the mass, ``tail`` and, with panels no wider than 1/(4 xi),
-    ``mu_hat``: panels split at the profile's breakpoints, with the origin
-    substitution when the profile is singular.
+    Returns (radii, weights) on (delta, R], with R the ``TAIL_CUTOFF``
+    truncation radius; the weights sum to the weight's mass there to within
+    the quadrature tolerance (1e-8 relative for the shipped presets).  The
+    radii are the nodes of the one radial rule that also gives the mass,
+    ``tail``, the direct radial operator and, with panels no wider than
+    1/(4 xi), ``mu_hat``: panels split at the profile's breakpoints, with the
+    origin substitution when the profile is singular.
     """
-    R = truncation_radius(w) if r_max is None else float(r_max)
+    R = truncation_radius(w)
     if delta >= R:
         return np.array([]), np.array([])
-    blocks = _panel_blocks(w, max(delta, 0.0), R, np.inf, PANEL_NODES)
+    blocks = list(_panel_blocks(w, max(delta, 0.0), R, np.inf, PANEL_NODES))
     r = np.concatenate([nodes for nodes, _ in blocks])
     q = np.concatenate([weights for _, weights in blocks])
     return r, q * (unit_ball_volume(w.n) * w.n * r ** (w.n - 1) * w.profile(r))
@@ -242,9 +241,8 @@ def _mu_hat_quad(w: RadialWeight, xis: np.ndarray, nodes_per_panel: int) -> np.n
     """Panel quadrature of the oscillatory multiplier integral at each xi > 0.
 
     Consecutive panel blocks, across frequencies, share one integrand and
-    ``bessel_j`` evaluation of at most MU_HAT_BLOCK radial nodes (a block is
-    never split).  Each frequency's total is the sum of its per-block sums,
-    in block order.
+    ``bessel_j`` evaluation of at most MU_HAT_BLOCK radial nodes.  Each
+    frequency's total is the sum of its per-block sums, in block order.
     """
     half = w.n / 2.0
     R = truncation_radius(w)
@@ -265,7 +263,7 @@ def _mu_hat_quad(w: RadialWeight, xis: np.ndarray, nodes_per_panel: int) -> np.n
 
 def _node_groups(blocks):
     """Consecutive ``(i, nodes, weights)`` blocks in lists of at most
-    MU_HAT_BLOCK nodes, or of one block where that alone exceeds it."""
+    MU_HAT_BLOCK nodes."""
     group, size = [], 0
     for block in blocks:
         if group and size + block[1].size > MU_HAT_BLOCK:
@@ -372,20 +370,16 @@ def _sorted_grid(xi_grid) -> np.ndarray:
     return xi_grid
 
 
-def positivity_scan(w: RadialWeight, xi_grid, highprec: bool = False) -> PositivityReport:
+def positivity_scan(w: RadialWeight, xi_grid) -> PositivityReport:
     """Scan mu_hat over a sorted grid and report minimum and sign changes.
 
     A sign change between adjacent grid points is a candidate zero of the
     multiplier (relevant to kernel equivalence); the verdict is grid-relative.
-    ``highprec`` routes each evaluation through the arbitrary-precision path,
-    which resolves multiplier values far below the double-precision
-    quadrature noise floor (deep Gaussian tails).
+    Values below the double-precision quadrature noise floor (deep Gaussian
+    tails) need ``mu_hat_highprec``; pass its values to
+    :func:`positivity_report`.
     """
-    xi_grid = _sorted_grid(xi_grid)
-    if highprec:
-        vals = np.array([float(mu_hat_highprec(w, xi)) if xi > 0 else w.mass for xi in xi_grid])
-    else:
-        vals, _ = mu_hat_scan(w, xi_grid)
+    vals, _ = mu_hat_scan(w, _sorted_grid(xi_grid))
     return positivity_report(xi_grid, vals)
 
 

@@ -187,7 +187,7 @@ def test_criterion_06_localization_rate():
     rng = np.random.default_rng(6)
     u = random_trig_field(1, 64, 1, rng, max_degree=2)
     eps_list = [0.2, 0.1, 0.05, 0.025]
-    table = localization_table(D1, u, annulus_family(), 2, eps_list)
+    table = localization_table(D1, [u], annulus_family(), 2, eps_list)
     errs = {eps: err for eps, err in table}
     ratio = errs[0.025] / errs[0.05]
     w = annulus_family()(0.01)

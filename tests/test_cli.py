@@ -440,18 +440,18 @@ class TestDeterminism:
 class TestFieldCount:
     def test_lp_error_is_the_mean_over_fields_in_sequence(self, tmp_path):
         # the fields are drawn one after another from the seeded generator
-        # (default max_degree and num_terms) and share one multiplier cache
+        # (default max_degree and num_terms)
         text = "[run]\nn_grid = 32\neps_list = 0.1 0.05 0.025\n[field]\nkind = random\ncount = 3\n"
         assert run(tmp_path, "localize", "--config", write_config(tmp_path, text), "--seed", "3") == 0
         lines = (tmp_path / "localize.csv").read_text().splitlines()
         rows = [line for line in lines if not line.startswith("#")][1:]
         got = [float(row.split(",")[1]) for row in rows]
-        rng, cache = np.random.default_rng(3), {}
+        rng = np.random.default_rng(3)
         op, eps_list = preset("derivative", 1), [0.1, 0.05, 0.025]
         totals = np.zeros(len(eps_list))
         for _ in range(3):
             u = random_trig_field(1, 32, 1, rng, max_degree=3, num_terms=6)
-            totals += [err for _, err in localization_table(op, u, annulus_family(), 2.0, eps_list, cache)]
+            totals += [err for _, err in localization_table(op, [u], annulus_family(), 2.0, eps_list)]
         assert got == list(totals / 3)
 
 

@@ -13,6 +13,7 @@ from nlops.bessel import ball_transform, bessel_j
 from nlops.fields import (
     SPECTRUM_FLOOR,
     TorusField,
+    _shell_multipliers,
     apply_local,
     apply_radial_direct,
     apply_radial_spectral,
@@ -221,6 +222,24 @@ class TestRadial:
             scale = w.mass * lp_norm(apply_local(op, u), 2)
             assert lp_norm(diff, 2) < 1e-4 * scale
 
+    @pytest.mark.parametrize(
+        "n,w",
+        [(n, normalize(gaussian_modification(n, sigma))) for n, sigma in ((1, 0.5), (2, 0.05), (3, 0.1))],
+        ids=lambda v: getattr(v, "name", str(v)),
+    )
+    def test_routes_agree_to_rounding_on_an_unbounded_weight(self, n, w):
+        # both routes cut the Gaussian at TAIL_CUTOFF, so they integrate the
+        # same weight; cut at two radii they differed by 1e-10 to 1.2e-9
+        op, N, order = self.CASES[n]
+        rng = np.random.default_rng(101 + n)
+        cache = {}
+        for _ in range(3):
+            u = random_trig_field(n, N, op.dim_v, rng, max_degree=3)
+            a = apply_radial_spectral(op, u, w, cache)
+            b = apply_radial_direct(op, u, w, order)
+            diff = TorusField(n=n, N=N, values=a.values - b.values)
+            assert lp_norm(diff, 2) <= 1e-13 * w.mass * lp_norm(apply_local(op, u), 2)
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_direct_routes_skip_the_multipliers(self, n, monkeypatch):
         # the direct routes are independent checks on the spectral routes,
@@ -413,7 +432,7 @@ class TestLocalization:
         # with one Fourier mode the table reduces to ||A u||_2 |1 - mu(1)|;
         # values pinned from the sine-integral closed form
         u = sine_field()
-        table = localization_table(D1, u, annulus_family(), 2, [0.05, 0.025])
+        table = localization_table(D1, [u], annulus_family(), 2, [0.05, 0.025])
         amp = 2 * pi / sqrt(2.0)
         assert abs(table[0][1] - amp * 3.788196056994253e-02) < 1e-12
         assert abs(table[1][1] - amp * 9.564047721086988e-03) < 1e-12
@@ -424,17 +443,30 @@ class TestLocalization:
         # oscillation of the annulus multiplier
         rng = np.random.default_rng(5)
         u = random_trig_field(1, 64, 1, rng, max_degree=2)
-        table = localization_table(D1, u, annulus_family(), 2, [0.1, 0.05, 0.025])
+        table = localization_table(D1, [u], annulus_family(), 2, [0.1, 0.05, 0.025])
         errs = [row[1] for row in table]
         assert all(b < a for a, b in zip(errs, errs[1:]))
 
-    def test_cache_reuse_is_consistent(self):
+    def test_one_weight_and_one_cache_per_eps(self, monkeypatch):
+        # the second copy of the field finds every shell in the eps's cache,
+        # and the mean of two equal errors is that error
+        made, filled = [], []
+        family = annulus_family()
+
+        def counted_family(eps):
+            made.append(eps)
+            return family(eps)
+
+        def counted(w, xis):
+            filled.append(xis)
+            return _shell_multipliers(w, xis)
+
+        monkeypatch.setattr("nlops.fields._shell_multipliers", counted)
         u = sine_field(N=32)
-        cache = {}
-        t1 = localization_table(D1, u, annulus_family(), 2, [0.2, 0.1], mu_cache=cache)
-        assert cache and all(cache.values())
-        t2 = localization_table(D1, u, annulus_family(), 2, [0.2, 0.1], mu_cache=cache)
-        assert t1 == t2
+        table = localization_table(D1, [u, u], counted_family, 2, [0.2, 0.1])
+        assert made == [0.2, 0.1]
+        assert len(filled) == 2
+        assert table == localization_table(D1, [u], family, 2, [0.2, 0.1])
 
 
 class TestKernelScan:

@@ -13,6 +13,7 @@ from nlops.operators import (
     preset,
     symbol,
     wave_rank,
+    wave_ranks,
 )
 
 ALL_PRESET_CASES = [
@@ -99,6 +100,16 @@ def test_wave_rank_positive_off_origin(name, n):
 def test_wave_rank_zero_at_origin():
     op = preset("gradient", 2)
     assert wave_rank(op, np.zeros(2)) == 0
+
+
+@pytest.mark.parametrize("name,n", ALL_PRESET_CASES)
+def test_wave_rank_is_the_stacked_rank(name, n):
+    op = preset(name, n)
+    xis = np.vstack([np.zeros(n), np.random.default_rng(7).normal(size=(200, n))])
+    assert [wave_rank(op, xi) for xi in xis] == list(wave_ranks(op, xis))
+    # a frequency of the wrong length is refused, not read as several rows
+    with pytest.raises(ValueError):
+        wave_rank(op, np.ones(2 * n))
 
 
 def test_curl_rank_is_two():

@@ -1,6 +1,7 @@
 """Weight profiles: masses and tails against closed forms, multiplier against
 independent sine-integral and arbitrary-precision oracles."""
 
+import tracemalloc
 from dataclasses import replace
 from math import pi
 
@@ -14,6 +15,7 @@ from scipy.special import sici
 from nlops.bessel import ball_transform, unit_ball_volume
 from nlops.weights import (
     FRACTIONAL_MIN_S,
+    MU_HAT_BLOCK,
     PANEL_NODES,
     RadialWeight,
     WEIGHT_PRESETS,
@@ -159,6 +161,29 @@ class TestMuHat:
             ref = float(mp.quad(lambda r: r**-1.5 * mp.sin(2 * mp.pi * r * xi), [0] + zeros + [1]) / (mp.pi * xi))
         assert abs(mu_hat(fractional(1, 0.5), xi) - ref) < 1e-12 * ref
 
+    def test_split_segment_keeps_the_accuracy(self):
+        # at xi = 200 the segment (1/(4 xi), 1] has 799 panels, more than the
+        # MU_HAT_BLOCK // PANEL_NODES = 512 of one block, so it is split; the
+        # value stays 9.85e-13 (relative) from the reference, as at xi = 50
+        xi = 200.0
+        assert 4 * xi > MU_HAT_BLOCK // PANEL_NODES
+        with mp.workdps(20):
+            zeros = [mp.mpf(k) / (2 * xi) for k in range(1, int(2 * xi))]
+            ref = float(mp.quad(lambda r: r**-1.5 * mp.sin(2 * mp.pi * r * xi), [0] + zeros + [1]) / (mp.pi * xi))
+        assert abs(mu_hat(fractional(1, 0.5), xi) - ref) < 1e-12 * ref
+
+    def test_memory_stays_bounded_at_high_frequency(self):
+        # 4 xi R = 2.8e5 panels of 16 nodes: held at once they took about
+        # 0.5 GB; in blocks of MU_HAT_BLOCK nodes the peak is about 3.6 MB
+        w = normalize(gaussian_modification(1, 1.0))
+        tracemalloc.start()
+        try:
+            mu_hat(w, 1e4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6
+
     def test_annulus_localization_values_frozen(self):
         # 1 - mu_hat at unit frequency, and the halving ratio, computed from
         # the sine-integral closed form and pinned here
@@ -297,7 +322,8 @@ class TestPositivity:
 
     def test_highprec_path_resolves_deep_tail(self):
         w = normalize(gaussian_modification(1, 1.0))
-        report = positivity_scan(w, np.linspace(0.3, 0.95, 8), highprec=True)
+        grid = np.linspace(0.3, 0.95, 8)
+        report = positivity_report(grid, [float(mu_hat_highprec(w, xi)) for xi in grid])
         assert report.min_value > 0.0
 
     def test_rejects_unsorted_grid(self):
