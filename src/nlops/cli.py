@@ -502,7 +502,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"CONFIG ERROR: {exc}", file=sys.stderr)
         return 2
-    except (measures.MeasureError, weights.WeightError, ValueError) as exc:
+    except (measures.MeasureError, weights.WeightError, ValueError, OverflowError, MemoryError) as exc:
         print(f"ERROR {name}: {exc}", file=sys.stderr)
         return 1
     print(f"{'PASS' if ok else 'FAIL'} {name}: {summary}")

@@ -1,18 +1,18 @@
 """Spectral engine for operators acting on periodic vector fields.
 
 Fields live on the uniform N^n grid of the unit torus [0,1)^n with one
-vector fiber per grid point.  All operators act through the FFT with the
-convention u(x) = sum_m uhat(m) e^(2 pi i m . x) over integer frequencies,
-so the local operator is the multiplier 2 pi i A(m), the sphere-scale
-operator multiplies additionally by the ball transform at |m|, and the
-weighted radial operator by the weight's Bessel multiplier.  Both averaged
-operators are radial multipliers, so they share one route: a table over the
-frequency shells |m| that carry spectrum, filled by one call of the
-multiplier and scattered back before one inverse FFT.  Direct (quadrature)
-evaluations of the averaged operators are provided as independent
-cross-checks of the multiplier routes.  Both radial routes integrate the
-weight cut where its tail falls below ``weights.TAIL_CUTOFF``, so they agree
-to rounding.
+vector fiber per grid point, and u(x) = sum_m uhat(m) e^(2 pi i m . x) over
+integer frequencies.  All five operators run through one pipeline: one FFT;
+the local spectrum 2 pi i A(m) uhat(m), Nyquist rows zeroed on every route;
+for the four averaged operators, pruning below SPECTRUM_FLOOR of its peak;
+one inverse FFT.  In between, the multiplier routes scale by a radial
+multiplier (the ball transform, or the weight's Bessel multiplier) through a
+table over the frequency shells |m| that carry spectrum, filled by one call.
+The direct (quadrature) routes, independent cross-checks, replace m by the
+sphere rule's difference-quotient symbol, which tends to m as the scale
+goes to 0, and never evaluate a closed-form multiplier.  Both radial routes
+cut the weight where its tail falls below ``weights.TAIL_CUTOFF``, so they
+agree to rounding.
 """
 
 from __future__ import annotations
@@ -148,50 +148,57 @@ def _check_compat(op: FirstOrderOperator, u: TorusField):
         )
 
 
-def _local_hat(op: FirstOrderOperator, u: TorusField) -> np.ndarray:
-    """Spectrum of the local operator output: 2 pi i A(m) uhat(m), Nyquist zeroed."""
-    axes = tuple(range(u.n))
-    uhat = np.fft.fftn(u.values, axes=axes)
-    grid = _grid(u.n, u.N)
+def _contract(op: FirstOrderOperator, uhat: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """2 pi i sum_i k_i (uhat A_i^T), mode by mode."""
     out = np.zeros(uhat.shape[:-1] + (op.dim_w,), dtype=complex)
     term = np.empty_like(out)
     for i, a in enumerate(op.coeffs):
-        # out += m_i * (uhat @ A_i^T), through one reused buffer
-        np.multiply(grid.m[..., i : i + 1], np.matmul(uhat, a.T, out=term), out=term)
+        # out += k_i * (uhat @ A_i^T), through one reused buffer
+        np.multiply(k[..., i : i + 1], np.matmul(uhat, a.T, out=term), out=term)
         out += term
     out *= 2j * pi
-    out[grid.nyquist] = 0.0
     return out
+
+
+def _apply(
+    op: FirstOrderOperator, u: TorusField, kernel: Optional[Callable] = None, multiplier: Optional[Callable] = None
+) -> TorusField:
+    """One FFT, the local spectrum with its Nyquist rows zeroed, one inverse FFT.
+
+    Passing a hook, as the averaged operators do, prunes the spectrum below
+    SPECTRUM_FLOOR of its peak.  ``kernel`` maps the remaining frequencies,
+    shape (k, n), to the symbol that replaces m; ``multiplier`` maps the
+    sorted |m| of the remaining shells to values scattered back over them.
+    """
+    axes = tuple(range(u.n))
+    grid = _grid(u.n, u.N)
+    uhat = np.fft.fftn(u.values, axes=axes)
+    out = _contract(op, uhat, grid.m)
+    if kernel is None:
+        # only a kernel reads the input spectrum again; free it before the
+        # pruning, the multiplier and the inverse FFT allocate
+        del uhat
+    out[grid.nyquist] = 0.0
+    if kernel is not None or multiplier is not None:
+        active = _active_spectrum(out)
+        # zero the pruned dust first, so its products are exact +0.0
+        out[~active] = 0.0
+        if kernel is not None:
+            out[active] = _contract(op, uhat[active], kernel(grid.m[active]))
+        if multiplier is not None:
+            present = np.zeros(grid.shells.size, dtype=bool)
+            present[grid.shell_of[active]] = True
+            table = np.zeros(grid.shells.size)
+            table[present] = multiplier(grid.shells[present])
+            out *= np.where(active, table[grid.shell_of], 0.0)[..., None]
+    vals = np.fft.ifftn(out, axes=axes).real
+    return TorusField(n=u.n, N=u.N, values=vals)
 
 
 def apply_local(op: FirstOrderOperator, u: TorusField) -> TorusField:
     """The first-order operator itself, evaluated spectrally (exact on band-limited fields)."""
     _check_compat(op, u)
-    axes = tuple(range(u.n))
-    vals = np.fft.ifftn(_local_hat(op, u), axes=axes).real
-    return TorusField(n=u.n, N=u.N, values=vals)
-
-
-def _shell_average(op: FirstOrderOperator, u: TorusField, multiplier: Callable) -> TorusField:
-    """The local operator times a radial multiplier, through one shell table.
-
-    Frequencies below SPECTRUM_FLOOR are pruned from the local spectrum;
-    ``multiplier`` is called once, on the sorted |m| of the shells that
-    remain, and its values are scattered back through the grid's shell index
-    before one inverse FFT.
-    """
-    grid = _grid(u.n, u.N)
-    loc = _local_hat(op, u)
-    active = _active_spectrum(loc)
-    present = np.zeros(grid.shells.size, dtype=bool)
-    present[grid.shell_of[active]] = True
-    table = np.zeros(grid.shells.size)
-    table[present] = multiplier(grid.shells[present])
-    # zero the pruned dust first, so its products are exact +0.0
-    loc[~active] = 0.0
-    loc *= np.where(active, table[grid.shell_of], 0.0)[..., None]
-    vals = np.fft.ifftn(loc, axes=tuple(range(u.n))).real
-    return TorusField(n=u.n, N=u.N, values=vals)
+    return _apply(op, u)
 
 
 def apply_spherical_spectral(op: FirstOrderOperator, u: TorusField, s: float) -> TorusField:
@@ -199,31 +206,28 @@ def apply_spherical_spectral(op: FirstOrderOperator, u: TorusField, s: float) ->
     _check_compat(op, u)
     if s <= 0:
         raise ValueError("scale s must be positive")
-    return _shell_average(op, u, lambda xis: ball_transform(u.n, s, xis))
+    return _apply(op, u, multiplier=lambda xis: ball_transform(u.n, s, xis))
 
 
-def _direct_average(
-    op: FirstOrderOperator, u: TorusField, radii: np.ndarray, rweights: np.ndarray, quad_order: int
-) -> TorusField:
-    """Superposition of sphere-scale operators against the discrete radial
-    measure sum_k c_k delta(r - r_k), (r_k, c_k) = (radii[k], rweights[k]).
+def _direct_symbol(m: np.ndarray, radii: np.ndarray, rweights: np.ndarray, quad_order: int) -> np.ndarray:
+    """Difference-quotient symbol of the superposition of sphere-scale
+    operators against the discrete radial measure sum_k c_k delta(r - r_k),
+    (r_k, c_k) = (radii[k], rweights[k]), on the frequencies ``m`` (k, n).
 
-    On each active frequency m the output is sum_i K_i(m) A_i uhat(m) with
+    Returns K(m) / (2 pi i), with
     K(m) = n/|S| sum_omega w_omega omega sum_k (c_k/r_k)(e^(2 pi i r_k m.omega) - 1):
     the exact shifted difference quotients, summed over the explicit sphere
-    rule.  The closed-form multipliers are never evaluated.
+    rule.  It tends to m times the measure's mass as the radii go to 0.  The
+    closed-form multipliers are never evaluated.
     """
-    axes = tuple(range(u.n))
-    uhat = np.fft.fftn(u.values, axes=axes)
-    active = _active_spectrum(uhat)
-    m_active = _grid(u.n, u.N).m[active]
-    nodes, wq = sphere_quadrature(u.n, quad_order)
+    n = m.shape[-1]
+    nodes, wq = sphere_quadrature(n, quad_order)
     scaled = rweights / radii
-    kernel = np.empty((len(m_active), u.n), dtype=complex)
+    kernel = np.empty((len(m), n), dtype=complex)
     # blocks of modes and radii bound the (radii x modes x nodes) phase buffer
     modes_per_block = max(1, DIRECT_BLOCK // len(nodes))
-    for j0 in range(0, len(m_active), modes_per_block):
-        proj = m_active[j0 : j0 + modes_per_block] @ nodes.T
+    for j0 in range(0, len(m), modes_per_block):
+        proj = m[j0 : j0 + modes_per_block] @ nodes.T
         radii_per_block = max(1, DIRECT_BLOCK // proj.size)
         acc = np.full(proj.shape, -np.sum(scaled), dtype=complex)
         for k0 in range(0, radii.size, radii_per_block):
@@ -231,13 +235,7 @@ def _direct_average(
             phase = np.exp(2j * pi * np.multiply.outer(block, proj))
             acc += np.tensordot(scaled[k0 : k0 + radii_per_block], phase, axes=1)
         kernel[j0 : j0 + modes_per_block] = (acc * wq) @ nodes
-    kernel *= u.n / sphere_surface(u.n)
-    u_active = uhat[active]
-    out = np.zeros(uhat.shape[:-1] + (op.dim_w,), dtype=complex)
-    for i, a in enumerate(op.coeffs):
-        out[active] += kernel[:, i : i + 1] * (u_active @ a.T)
-    vals = np.fft.ifftn(out, axes=axes).real
-    return TorusField(n=u.n, N=u.N, values=vals)
+    return kernel * (n / (2j * pi * sphere_surface(n)))
 
 
 def apply_spherical_direct(
@@ -252,7 +250,7 @@ def apply_spherical_direct(
     _check_compat(op, u)
     if s <= 0:
         raise ValueError("scale s must be positive")
-    return _direct_average(op, u, np.array([float(s)]), np.array([1.0]), quad_order)
+    return _apply(op, u, kernel=lambda m: _direct_symbol(m, np.array([float(s)]), np.array([1.0]), quad_order))
 
 
 def apply_radial_spectral(
@@ -278,7 +276,7 @@ def apply_radial_spectral(
             cache.update(zip(missing, _shell_multipliers(w, missing)))
         return [cache[xi] for xi in shells]
 
-    return _shell_average(op, u, multiplier)
+    return _apply(op, u, multiplier=multiplier)
 
 
 def _shell_multipliers(w: RadialWeight, xis: np.ndarray) -> np.ndarray:
@@ -335,7 +333,7 @@ def apply_radial_direct(
     if w.n != u.n:
         raise ValueError(f"weight dimension {w.n} does not match field dimension {u.n}")
     radii, rweights = superposition_measure(w)
-    return _direct_average(op, u, radii, rweights, quad_order)
+    return _apply(op, u, kernel=lambda m: _direct_symbol(m, radii, rweights, quad_order))
 
 
 def lp_norm(u: TorusField, p) -> float:

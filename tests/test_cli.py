@@ -392,6 +392,24 @@ class TestExitStatuses:
         # a failed invariant still leaves its evidence
         assert (tmp_path / "witness.csv").read_text().splitlines()[1] == "# subcommand: witness"
 
+    @pytest.mark.parametrize(
+        "subcommand,text",
+        [
+            ("bessel", "[bessel]\nalpha = 200\n"),
+            ("bessel", "[bessel]\nt_step = 1e-15\n"),
+            ("multiplier", "[multiplier]\nxi_count = 100000000000000000\n"),
+        ],
+        ids=["bessel-alpha-overflow", "bessel-t_step-memory", "multiplier-xi_count-memory"],
+    )
+    def test_numerical_error_exits_one(self, tmp_path, capsys, subcommand, text):
+        # math.gamma overflows at alpha = 200; the two scans ask numpy for
+        # hundreds of PiB, more than any address space, so it refuses them
+        # before allocating anything
+        cfg = write_config(tmp_path, text)
+        assert run(tmp_path, subcommand, "--config", cfg) == 1
+        assert capsys.readouterr().err.startswith(f"ERROR {subcommand}: ")
+        assert not list(tmp_path.glob("*.csv"))
+
 
 class TestCsvFormat:
     def test_metadata_block(self, tmp_path):

@@ -49,6 +49,16 @@ def si_annulus_mu(eps, xi):
     return (sici(2.0 * z)[0] - sici(z)[0]) / z
 
 
+def fresnel_fractional_mu(xi):
+    """Exact multiplier of fractional(1, 1/2) via the Fresnel integral: the 1D
+    formula (1/(pi xi)) int_0^1 r^(-3/2) sin(2 pi r xi) dr integrates by parts
+    in closed form to [-2 sin a + 2 sqrt(2 pi a) C(sqrt(2a/pi))] / (pi xi),
+    a = 2 pi xi, with C(z) = int_0^z cos(pi t^2/2) dt."""
+    with mp.workdps(40):
+        a = 2 * mp.pi * xi
+        return float((-2 * mp.sin(a) + 2 * mp.sqrt(2 * mp.pi * a) * mp.fresnelc(mp.sqrt(2 * a / mp.pi))) / (mp.pi * xi))
+
+
 class TestMasses:
     def test_fractional_mass_closed_form(self):
         # n omega_n / s, from the smallest exponent the rule resolves on
@@ -155,22 +165,17 @@ class TestMuHat:
         xi = 50.0
         # the closed form exp(-2 pi^2 xi^2) underflows to 0
         assert abs(mu_hat(normalize(gaussian_modification(1, 1.0)), xi)) < 1e-14
-        with mp.workdps(20):
-            # fractional(1, 1/2): (1/(pi xi)) int_0^1 r^(-3/2) sin(2 pi r xi) dr
-            zeros = [mp.mpf(k) / (2 * xi) for k in range(1, int(2 * xi))]
-            ref = float(mp.quad(lambda r: r**-1.5 * mp.sin(2 * mp.pi * r * xi), [0] + zeros + [1]) / (mp.pi * xi))
-        assert abs(mu_hat(fractional(1, 0.5), xi) - ref) < 1e-12 * ref
+        ref = fresnel_fractional_mu(xi)
+        assert abs(mu_hat(fractional(1, 0.5), xi) - ref) < 1e-14 * ref
 
     def test_split_segment_keeps_the_accuracy(self):
         # at xi = 200 the segment (1/(4 xi), 1] has 799 panels, more than the
         # MU_HAT_BLOCK // PANEL_NODES = 512 of one block, so it is split; the
-        # value stays 9.85e-13 (relative) from the reference, as at xi = 50
+        # value stays 2e-16 (relative) from the closed form, as at xi = 50
         xi = 200.0
         assert 4 * xi > MU_HAT_BLOCK // PANEL_NODES
-        with mp.workdps(20):
-            zeros = [mp.mpf(k) / (2 * xi) for k in range(1, int(2 * xi))]
-            ref = float(mp.quad(lambda r: r**-1.5 * mp.sin(2 * mp.pi * r * xi), [0] + zeros + [1]) / (mp.pi * xi))
-        assert abs(mu_hat(fractional(1, 0.5), xi) - ref) < 1e-12 * ref
+        ref = fresnel_fractional_mu(xi)
+        assert abs(mu_hat(fractional(1, 0.5), xi) - ref) < 1e-14 * ref
 
     def test_memory_stays_bounded_at_high_frequency(self):
         # 4 xi R = 2.8e5 panels of 16 nodes: held at once they took about
