@@ -35,7 +35,7 @@ import nlops.measures as measures
 import nlops.operators as operators
 import nlops.weights as weights
 from nlops import __version__
-from nlops.bessel import bessel_j, bessel_zero
+from nlops.bessel import MAX_ORDER, bessel_j, bessel_zero
 
 
 class ConfigError(ValueError):
@@ -98,6 +98,7 @@ SWITCH = (str.lower, lambda v: v in ("yes", "no", "true", "false", "1", "0"), "o
 TEXT = (str, bool, "nonempty text")
 GRID = (int, lambda k: k >= 4 and k % 2 == 0, "an even integer >= 4")
 EXPONENT = (str, lambda text: float(text) >= 1, "a number >= 1 or inf")
+ORDER = (float, lambda v: 0 <= v <= MAX_ORDER, f"a Bessel order in [0, {MAX_ORDER:g}]")
 SCALES = (
     _parse_floats,
     lambda xs: len(xs) > 0 and all(isfinite(x) and x > 0 for x in xs) and all(b < a for a, b in zip(xs, xs[1:])),
@@ -274,7 +275,7 @@ def write_csv(path: Path, subcommand: str, cfg: ExperimentConfig, header, rows, 
 
 
 def cmd_bessel(cfg: ExperimentConfig, rng) -> tuple:
-    alpha = _setting(cfg, "bessel", "alpha", 0.5, NONNEGATIVE)
+    alpha = _setting(cfg, "bessel", "alpha", 0.5, ORDER)
     t_lo = _setting(cfg, "bessel", "t_min", 0.1, NONNEGATIVE)
     t_hi = _setting(cfg, "bessel", "t_max", 50.0)
     step = _setting(cfg, "bessel", "t_step", 0.01, POSITIVE)
@@ -293,7 +294,7 @@ def cmd_bessel(cfg: ExperimentConfig, rng) -> tuple:
 
 
 def cmd_zeros(cfg: ExperimentConfig, rng) -> tuple:
-    alpha = _setting(cfg, "zeros", "alpha", 0.5, NONNEGATIVE)
+    alpha = _setting(cfg, "zeros", "alpha", 0.5, ORDER)
     count = _setting(cfg, "zeros", "count", 5, COUNT)
     rows = []
     worst = 0.0

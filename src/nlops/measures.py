@@ -6,12 +6,16 @@ a finite list of atoms.  One kernel computes the ball averages of such
 measures: in 1D exactly for the cell model (prefix sums with partial cells),
 in 2D by counting whole cells by their centres (not exact: on a constant
 density the average misses by O(h/r)), and with point-in-ball tests for
-atoms.  On top of the averages the module
-provides the weighted radial operator for measures, the sup-norm
-localization gap for u(t) = |t|, the area functional with recession term,
-its convergence tables, a one-dimensional Gauss-Green residual for
-piecewise-smooth functions, and a two-dimensional atomic example with a
-discontinuous average.
+atoms.  On top of the averages the module provides the weighted radial
+operator for measures.  ``spherical_of_measure`` and ``radial_of_measure``
+take probes as an array of shape (..., n), one probe per leading index, and
+keep those axes in the result: a whole stack goes through the kernel in
+one array pass, and each probe keeps its own radial panels and its own
+window and atom checks.  The
+module also provides the sup-norm localization gap for u(t) = |t|, the
+area functional with recession term, its convergence tables, a
+one-dimensional Gauss-Green residual for piecewise-smooth functions, and a
+two-dimensional atomic example with a discontinuous average.
 """
 
 from __future__ import annotations
@@ -194,97 +198,153 @@ def sign_measure(window=(-2.0, 2.0), cells: int = 8000) -> MeasureField:
 
 
 def _ball_average(mu: MeasureField, x: np.ndarray, radii: np.ndarray, extend: bool) -> np.ndarray:
-    """mu(B_r(x)) / |B_r| for every radius in the 1D array ``radii``.
+    """mu(B_r(x)) / |B_r| for every probe in ``x`` and radius in ``radii``.
 
-    ``x`` has shape (..., n): in 1D any leading probe axes broadcast against
-    the radii, in 2D it is one probe.  The result has shape
-    x.shape[:-1] + radii.shape + (dim,).  1D balls read the prefix integral
-    at x +- r, exact for the cell model; 2D balls count density cells by
-    their centres.  With ``extend`` the density is zero outside the window
+    ``x`` has shape (..., n), one probe per leading index.  ``radii`` has
+    shape (..., K): its leading axes broadcast against the probe axes, so a
+    1D array serves every probe and a stack gives each probe its own radii.
+    The result has shape broadcast(x.shape[:-1] + (1,), radii.shape) +
+    (dim,).  1D balls read the prefix integral at x +- r, exact for the cell
+    model; 2D balls count density cells by their centres, one distance grid
+    per probe.  With ``extend`` the density is zero outside the window
     (np.interp clamps the prefix integral at the ends); otherwise a ball
     reaching outside raises.  An atom on a ball boundary always raises.
+    Both errors name the first probe at fault.
     """
+    shape = np.broadcast_shapes(x.shape[:-1] + (1,), radii.shape)
     if not extend:
-        r = radii.max()
+        r = np.broadcast_to(radii.max(axis=-1), shape[:-1])[..., None]
         lo, hi = mu.window.T
-        if (x - r < lo - BOUNDARY_ATOL).any() or (x + r > hi + BOUNDARY_ATOL).any():
-            raise WindowExitError(f"ball of radius {r:g} around {x} exits the window {mu.window.tolist()}")
-    out = np.zeros(x.shape[:-1] + radii.shape + (mu.dim,))
+        exits = ((x - r < lo - BOUNDARY_ATOL) | (x + r > hi + BOUNDARY_ATOL)).any(axis=-1)
+        if exits.any():
+            i = np.unravel_index(np.argmax(exits), exits.shape)
+            raise WindowExitError(
+                f"ball of radius {r[i][0]:g} around probe {x[i].tolist()} exits the window {mu.window.tolist()}"
+            )
+    out = np.zeros(shape + (mu.dim,))
     if mu.density is not None and mu.n == 1:
         edges = mu.grid[0][0]
         for k in range(mu.dim):
             out[..., k] = np.interp(x + radii, edges, mu.prefix[:, k]) - np.interp(x - radii, edges, mu.prefix[:, k])
     elif mu.density is not None:
         (_, cx), (_, cy) = mu.grid
-        dist2 = (cx[:, None] - x[0]) ** 2 + (cy[None, :] - x[1]) ** 2
-        for i, r in enumerate(radii):
-            out[i] += mu.density[dist2 < r**2].sum(axis=0) * mu.cell_volume()
+        per_probe = np.broadcast_to(radii, shape)
+        for i in np.ndindex(x.shape[:-1]):
+            dist2 = (cx[:, None] - x[i][0]) ** 2 + (cy[None, :] - x[i][1]) ** 2
+            for j, r in enumerate(per_probe[i]):
+                out[i + (j,)] += mu.density[dist2 < r**2].sum(axis=0) * mu.cell_volume()
     for loc, weight in mu.atoms:
         dist = np.sqrt(((np.asarray(loc) - x) ** 2).sum(axis=-1, keepdims=True))
         onb = abs(dist - radii) <= BOUNDARY_ATOL * np.maximum(1.0, dist)
         if onb.any():
-            r = np.broadcast_to(radii, onb.shape)[onb][0]
-            raise AtomOnBoundaryError(f"atom at {loc} lies on the boundary of a ball of radius {r:g}")
+            i = np.unravel_index(np.argmax(onb), onb.shape)
+            raise AtomOnBoundaryError(
+                f"atom at {loc} lies on the boundary of the ball of radius "
+                f"{np.broadcast_to(radii, onb.shape)[i]:g} around probe {x[i[:-1]].tolist()}"
+            )
         out[dist < radii] += weight
-    return out / ((2.0 if mu.n == 1 else pi) * radii**mu.n)[:, None]
+    return out / ((2.0 if mu.n == 1 else pi) * radii**mu.n)[..., None]
+
+
+def _as_probes(mu: MeasureField, x) -> np.ndarray:
+    """``x`` as a float array of probes of shape (..., n); in 1D a scalar is
+    one probe."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 0 and mu.n == 1:
+        x = x[None]
+    if x.ndim == 0 or x.shape[-1] != mu.n:
+        raise MeasureError(f"probes must have shape (..., {mu.n}), got {x.shape}")
+    return x
 
 
 def spherical_of_measure(mu: MeasureField, s: float, x) -> np.ndarray:
-    """Ball average mu(B_s(x)) / (omega_n s^n).
+    """Ball average mu(B_s(x)) / (omega_n s^n) at probes of shape (..., n).
 
-    Exact for the cell model in 1D (partial cells count fractionally); in 2D
-    density cells count whole by their centres.  Atoms on the ball boundary
-    and balls leaving the window are reported as errors, never resolved by
-    convention.
+    The result has shape x.shape[:-1] + (dim,).  Exact for the cell model
+    in 1D (partial cells count fractionally); in 2D density cells count
+    whole by their centres.  Atoms on the ball boundary and balls leaving
+    the window are reported as errors, never resolved by convention.
     """
     if s <= 0:
         raise ValueError("radius s must be positive")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    return _ball_average(mu, x, np.array([s], dtype=float), extend=False)[0]
+    return _ball_average(mu, _as_probes(mu, x), np.array([s], dtype=float), extend=False)[..., 0, :]
+
+
+def _dedupe(pts: np.ndarray, gap: float) -> np.ndarray:
+    """Sort each row and drop every point within ``gap`` of the point before
+    it; the survivors move to the front of their row, NaN pads the rest,
+    and the columns past the longest row go."""
+    pts = np.sort(pts, axis=-1)
+    keep = np.concatenate([np.ones(pts.shape[:-1] + (1,), bool), np.diff(pts, axis=-1) > gap], axis=-1)
+    return np.sort(np.where(keep, pts, np.nan), axis=-1)[..., : keep.sum(axis=-1).max()]
 
 
 def _radial_boundaries(mu: MeasureField, w: RadialWeight, x: np.ndarray, R: float) -> np.ndarray:
-    """Panel split points for the radial quadrature: weight breakpoints,
-    atom-crossing radii, density-jump crossing radii, and a uniform overlay."""
-    pts = {0.0, R}
-    for b in w.breakpoints:
-        if 0.0 < b < R:
-            pts.add(float(b))
-    for loc, _ in mu.atoms:
-        d = float(np.linalg.norm(np.subtract(loc, x)))
-        if 0.0 < d < R:
-            pts.add(d)
-    if mu.n == 1 and mu.density is not None:
-        crossing = np.abs(mu.jumps - x[0])
-        crossing = crossing[(crossing > 0.0) & (crossing < R)]
-        if crossing.size <= 64:
-            pts.update(float(c) for c in crossing)
-        else:
-            pts.update(np.linspace(0.0, R, 65)[1:-1])
-    pts.update(np.linspace(0.0, R, 17))
-    arr = np.array(sorted(pts))
-    keep = np.concatenate([[True], np.diff(arr) > 1e-14])
-    return arr[keep]
+    """Panel split points of the radial quadrature, one row per probe.
+
+    ``x`` has shape (..., n); the result has shape x.shape[:-1] + (k,), and
+    each row is increasing, padded with NaN past its own count.  A row
+    holds the points every probe shares (0, R, the weight breakpoints and a
+    17-point uniform overlay) and the probe's own atom distances and
+    density-jump crossings in (0, R); a probe with more than 64 crossings
+    takes a 65-point overlay instead of them.  A point within 1e-14 of the
+    one before it is dropped.  For a singular weight the first panel is
+    then graded toward 0 by a cubic law.
+    """
+    probes = x.reshape(-1, mu.n)
+    shared = np.concatenate([[0.0, R], [b for b in w.breakpoints if 0.0 < b < R], np.linspace(0.0, R, 17)])
+    cols = [np.broadcast_to(shared, (len(probes), shared.size))]
+    if mu.atoms:
+        diff = np.array([loc for loc, _ in mu.atoms]) - probes[:, None, :]
+        # the dot product np.linalg.norm takes, so distances match its value
+        dist = np.sqrt(np.matmul(diff[..., None, :], diff[..., :, None])[..., 0, 0])
+        cols.append(np.where((dist > 0.0) & (dist < R), dist, np.nan))
+    if mu.n == 1 and mu.density is not None and mu.jumps.size:
+        # a probe's crossings are the jumps next to it on either side, so the
+        # 65 jumps on each side hold them all, or more than 64 of them
+        side = min(65, mu.jumps.size)
+        near = np.searchsorted(mu.jumps, probes) + np.arange(-side, side + 1)
+        crossing = np.abs(mu.jumps[np.clip(near, 0, mu.jumps.size - 1)] - probes)
+        inside = (near >= 0) & (near < mu.jumps.size) & (crossing > 0.0) & (crossing < R)
+        few = inside.sum(axis=-1, keepdims=True) <= 64
+        cols.append(np.where(inside & few, crossing, np.nan))
+        cols.append(np.where(few, np.nan, np.linspace(0.0, R, 65)[1:-1]))
+    bounds = _dedupe(np.concatenate(cols, axis=-1), 1e-14)
+    if w.singularity_exponent < 0.0:
+        refined = graded_boundaries(0.0, bounds[:, 1], 12, power=3.0)
+        bounds = _dedupe(np.concatenate([refined, bounds], axis=-1), 0.0)
+    return bounds.reshape(x.shape[:-1] + bounds.shape[-1:])
 
 
 def radial_of_measure(mu: MeasureField, w: RadialWeight, x) -> np.ndarray:
-    """Weighted radial operator on a measure at a single point.
+    """Weighted radial operator on a measure at a stack of probes.
 
-    Integrates n omega_n rhohat(r) r^(n-1) times the ball average over
-    r in (0, R], with panels split at every radius where the integrand can
-    lose smoothness (atom crossings, density jumps, weight breakpoints).
+    ``x`` has shape (..., n), one probe per leading index; in 1D a scalar is
+    one probe.  The result has shape x.shape[:-1] + (dim,).  At each probe
+    the operator integrates n omega_n rhohat(r) r^(n-1) times the ball
+    average over r in (0, R], on Gauss panels split at every radius where
+    the integrand can lose smoothness at that probe (atom crossings,
+    density jumps, weight breakpoints).  Probes with equally many panels
+    share one panel rule, and one ball-average pass serves every probe.
     """
     if w.n != mu.n:
         raise MeasureError(f"weight dimension {w.n} does not match measure dimension {mu.n}")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    R = truncation_radius(w)
-    bounds = _radial_boundaries(mu, w, x, R)
-    if w.singularity_exponent < 0.0 and bounds.size > 1:
-        refined = graded_boundaries(0.0, bounds[1], 12, power=3.0)
-        bounds = np.unique(np.concatenate([refined, bounds]))
-    nodes, wts = panel_rule(bounds, 8)
+    x = _as_probes(mu, x)
+    probes = x.reshape(-1, mu.n)
+    bounds = _radial_boundaries(mu, w, probes, truncation_radius(w))
+    panels = np.count_nonzero(~np.isnan(bounds), axis=-1) - 1
+    m = 8
+    nodes = np.empty((len(probes), m * (bounds.shape[-1] - 1)))
+    wts = np.zeros_like(nodes)
+    for k in np.unique(panels):
+        rows = panels == k
+        nodes[rows, : m * k], wts[rows, : m * k] = panel_rule(bounds[rows, : k + 1], m)
+        # past its own panels a row repeats its last node with weight 0,
+        # which adds exact zeros to its sum and passes the same checks
+        nodes[rows, m * k :] = nodes[rows, m * k - 1 : m * k]
     front = mu.n * unit_ball_volume(mu.n) * nodes ** (mu.n - 1) * w.profile(nodes)
-    return np.einsum("k,k,kd->d", wts, front, _ball_average(mu, x, nodes, extend=False))
+    avg = _ball_average(mu, probes, nodes, extend=False)
+    return np.einsum("pk,pk,pkd->pd", wts, front, avg).reshape(x.shape[:-1] + (mu.dim,))
 
 
 # ---------------------------------------------------------------------------
@@ -304,11 +364,8 @@ def linf_gap(eps: float) -> float:
     w = annulus(eps)
     mu = sign_measure()
     probes = -1.0 + (np.arange(LINF_PROBES) + 0.5) * (2.0 / LINF_PROBES)
-    worst = 0.0
-    for t in probes:
-        val = radial_of_measure(mu, w, t)[0]
-        worst = max(worst, abs(val - np.sign(t)))
-    return worst
+    vals = radial_of_measure(mu, w, probes[:, None])[:, 0]
+    return float(np.max(np.abs(vals - np.sign(probes))))
 
 
 def linf_gap_closed_form(eps: float, t: float) -> float:
@@ -463,7 +520,7 @@ def scenario_smooth_localization(eps_list=(0.2, 0.1, 0.05, 0.025), cells: int = 
     out = []
     for eps in eps_list:
         w = annulus(eps)
-        vals = np.stack([radial_of_measure(carrier, w, float(c)) for c in centers])
+        vals = radial_of_measure(carrier, w, centers[:, None])
         out.append(MeasureField(n=1, window=[[-1.0, 1.0]], density=vals, atoms=(), dim=1))
     return out, limit
 

@@ -148,26 +148,34 @@ def panel_rule(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Composite Gauss-Legendre rule on consecutive panels.
 
-    ``boundaries`` is an increasing 1D array; each adjacent pair becomes one
-    Gauss-Legendre panel with ``nodes_per_panel`` nodes.  Returns flattened
-    (nodes, weights).
+    ``boundaries`` has shape (..., k), each row increasing; each adjacent
+    pair in a row becomes one Gauss-Legendre panel with ``nodes_per_panel``
+    nodes.  Returns (nodes, weights), each of shape
+    (..., (k - 1) * nodes_per_panel): a 1D array gives one flat rule, a
+    stack of rows one rule per row.
     """
     boundaries = np.asarray(boundaries, dtype=float)
-    if boundaries.ndim != 1 or boundaries.size < 2:
+    if boundaries.ndim < 1 or boundaries.shape[-1] < 2:
         raise ValueError("need at least two panel boundaries")
-    if np.any(np.diff(boundaries) <= 0):
+    if np.any(np.diff(boundaries, axis=-1) <= 0):
         raise ValueError("panel boundaries must be strictly increasing")
     x, w = gauss_jacobi(nodes_per_panel)
-    a = boundaries[:-1][:, None]
-    b = boundaries[1:][:, None]
-    nodes = 0.5 * (b - a) * x[None, :] + 0.5 * (a + b)
-    weights = 0.5 * (b - a) * w[None, :]
-    return nodes.ravel(), weights.ravel()
+    a = boundaries[..., :-1, None]
+    b = boundaries[..., 1:, None]
+    nodes = 0.5 * (b - a) * x + 0.5 * (a + b)
+    weights = 0.5 * (b - a) * w
+    flat = boundaries.shape[:-1] + (-1,)
+    return nodes.reshape(flat), weights.reshape(flat)
 
 
-def graded_boundaries(a: float, b: float, count: int, power: float = 2.0) -> np.ndarray:
-    """Panel boundaries on [a, b] clustered toward ``a`` by a power law."""
-    if not b > a:
+def graded_boundaries(a: float, b, count: int, power: float = 2.0) -> np.ndarray:
+    """Panel boundaries on [a, b] clustered toward ``a`` by a power law.
+
+    An array ``b`` of shape (...) gives one row of ``count + 1`` boundaries
+    per entry, shape (..., count + 1).
+    """
+    b = np.asarray(b, dtype=float)
+    if not np.all(b > a):
         raise ValueError("need b > a")
     t = np.linspace(0.0, 1.0, count + 1) ** power
-    return a + (b - a) * t
+    return a + (b[..., None] - a) * t

@@ -5,6 +5,7 @@ import pytest
 from scipy.special import jn_zeros, jv
 
 from nlops.bessel import (
+    MAX_ORDER,
     ball_transform,
     bessel_j,
     bessel_j_branch,
@@ -19,6 +20,20 @@ ORDERS = [0.0, 0.5, 1.0, 1.5, 2.0]
 def test_matches_scipy_over_wide_range(alpha):
     t = np.concatenate([np.linspace(1e-4, 8, 400), np.linspace(8, 1000, 2000)])
     np.testing.assert_allclose(bessel_j(alpha, t), jv(alpha, t), atol=5e-13, rtol=0)
+
+
+@pytest.mark.parametrize("alpha", [3.0, 4.0, 5.0])
+def test_matches_scipy_up_to_the_largest_order(alpha):
+    t = np.concatenate([np.linspace(1e-4, 8, 400), np.linspace(8, 1000, 2000)])
+    np.testing.assert_allclose(bessel_j(alpha, t), jv(alpha, t), atol=1e-10, rtol=0)
+
+
+@pytest.mark.parametrize("alpha", [MAX_ORDER + 0.5, 10.0, -1.0])
+def test_orders_outside_the_range_rejected(alpha):
+    with pytest.raises(ValueError, match=r"\[0, 5\]"):
+        bessel_j(alpha, 1.0)
+    with pytest.raises(ValueError):
+        bessel_zero(alpha, 1)
 
 
 @pytest.mark.parametrize("alpha", ORDERS)

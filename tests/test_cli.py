@@ -393,18 +393,32 @@ class TestExitStatuses:
         assert (tmp_path / "witness.csv").read_text().splitlines()[1] == "# subcommand: witness"
 
     @pytest.mark.parametrize(
+        "subcommand,alpha",
+        [("bessel", "200"), ("bessel", "10"), ("zeros", "20"), ("zeros", "120")],
+        ids=["bessel-alpha-overflow", "bessel-alpha-10", "zeros-alpha-20", "zeros-alpha-120"],
+    )
+    def test_order_beyond_bessel_range_is_config_error(self, tmp_path, capsys, subcommand, alpha):
+        # past bessel.MAX_ORDER bessel_j is wrong: alpha = 10 passed against
+        # nothing, zeros failed with a residual of 1.6e-04 at alpha = 20,
+        # and math.gamma overflowed at alpha = 200
+        cfg = write_config(tmp_path, f"[{subcommand}]\nalpha = {alpha}\n")
+        assert run(tmp_path, subcommand, "--config", cfg) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("CONFIG ERROR")
+        assert f"[{subcommand}] alpha" in err and "[0, 5]" in err
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize(
         "subcommand,text",
         [
-            ("bessel", "[bessel]\nalpha = 200\n"),
             ("bessel", "[bessel]\nt_step = 1e-15\n"),
             ("multiplier", "[multiplier]\nxi_count = 100000000000000000\n"),
         ],
-        ids=["bessel-alpha-overflow", "bessel-t_step-memory", "multiplier-xi_count-memory"],
+        ids=["bessel-t_step-memory", "multiplier-xi_count-memory"],
     )
     def test_numerical_error_exits_one(self, tmp_path, capsys, subcommand, text):
-        # math.gamma overflows at alpha = 200; the two scans ask numpy for
-        # hundreds of PiB, more than any address space, so it refuses them
-        # before allocating anything
+        # the two scans ask numpy for hundreds of PiB, more than any address
+        # space, so it refuses them before allocating anything
         cfg = write_config(tmp_path, text)
         assert run(tmp_path, subcommand, "--config", cfg) == 1
         assert capsys.readouterr().err.startswith(f"ERROR {subcommand}: ")

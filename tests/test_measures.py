@@ -9,6 +9,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from nlops import measures
+from nlops.bessel import unit_ball_volume
 from nlops.measures import (
     AreaIntegrand,
     AtomOnBoundaryError,
@@ -41,8 +43,8 @@ from nlops.measures import (
     trig_bv,
     zero_measure,
 )
-from nlops.quadrature import panel_rule
-from nlops.weights import annulus, bump, normalize, truncation_radius
+from nlops.quadrature import graded_boundaries, panel_rule
+from nlops.weights import annulus, bump, fractional, normalize, truncation_radius
 
 
 def reference_ball_integral_2d(mu, s, x):
@@ -60,6 +62,29 @@ def reference_ball_integral_2d(mu, s, x):
         if sqrt((loc[0] - x[0]) ** 2 + (loc[1] - x[1]) ** 2) < s:
             out += weight
     return out
+
+
+def reference_boundaries(mu, w, x, R):
+    """One probe's panel split points, built point by point in a set: the
+    shared points, the atom distances and jump crossings in (0, R) (a
+    65-point overlay past 64 crossings), the 1e-14 dedupe, and for a
+    singular weight the cubic grading of the first panel."""
+    pts = {0.0, R}
+    pts.update(float(b) for b in w.breakpoints if 0.0 < b < R)
+    for loc, _ in mu.atoms:
+        d = float(np.linalg.norm(np.subtract(loc, x)))
+        if 0.0 < d < R:
+            pts.add(d)
+    if mu.n == 1 and mu.density is not None:
+        crossing = np.abs(mu.jumps - x[0])
+        crossing = crossing[(crossing > 0.0) & (crossing < R)]
+        pts.update(crossing if crossing.size <= 64 else np.linspace(0.0, R, 65)[1:-1])
+    pts.update(np.linspace(0.0, R, 17))
+    arr = np.array(sorted(pts))
+    arr = arr[np.concatenate([[True], np.diff(arr) > 1e-14])]
+    if w.singularity_exponent < 0.0:
+        arr = np.unique(np.concatenate([graded_boundaries(0.0, arr[1], 12, power=3.0), arr]))
+    return arr
 
 
 class TestBallAverages:
@@ -101,6 +126,14 @@ class TestBallAverages:
         mu = dirac((-1.0, 1.0), 0.0, 1.0)
         with pytest.raises(WindowExitError):
             spherical_of_measure(mu, 0.3, 0.9)
+
+    def test_probe_stack(self):
+        mu = from_density_fn((-1.0, 1.0), 100, lambda t: t)
+        probes = np.array([[0.2], [0.5], [-0.3]])
+        want = np.stack([spherical_of_measure(mu, 0.1, float(t)) for t in probes[:, 0]])
+        assert np.array_equal(spherical_of_measure(mu, 0.1, probes), want)
+        with pytest.raises(MeasureError):
+            spherical_of_measure(mu, 0.1, probes[:, 0])
 
     def test_two_dimensional_atom_average(self):
         mu = MeasureField(n=2, window=[[-4, 4], [-4, 4]], density=None, atoms=(((0.0, 0.0), (3.0,)),), dim=1)
@@ -144,6 +177,136 @@ class TestOneKernel:
         centers = 0.5 * (edges[:-1] + edges[1:])
         want = np.stack([_ball_average(mu, np.array([c]), np.array([s]), extend=True)[0] for c in centers])
         assert np.array_equal(_spherical_field_1d(mu, s, cells).density, want)
+
+
+def _two_atoms_on(half_width, cells):
+    carrier = from_density_fn((-half_width, half_width), cells, lambda t: np.cos(3 * t) + t)
+    return MeasureField(
+        n=1, window=carrier.window, density=carrier.density, atoms=(((0.1037,), (1.0,)), ((-0.52,), (-0.4,)))
+    )
+
+
+#: (measure, weight, probes): the sign measure, with probes whose kink
+#: crossing lies 5e-13, 5e-15 and 3e-14 from an overlay point; two atoms
+#: on a density; the cos(pi t) carrier, whose probes see more than 64 jump
+#: crossings at eps = 0.2 and fewer at eps = 0.025; steps with seven jumps,
+#: and none; an alternating density whose probes see 64 or 65; and a
+#: singular weight, whose first panel is graded
+STACKS = {
+    "sign": (
+        sign_measure,
+        lambda: annulus(0.1),
+        np.append((np.arange(400) + 0.5) / 200.0 - 1.0, [0.025 + 5e-13, 0.025 + 5e-15, -0.05 - 3e-14]),
+    ),
+    "two-atoms": (lambda: _two_atoms_on(1.0, 250), lambda: annulus(0.2), np.linspace(-0.6, 0.6, 97)),
+    "many-crossings": (
+        lambda: from_density_fn((-2.0, 2.0), 1600, lambda t: np.cos(pi * t)),
+        lambda: annulus(0.2),
+        np.linspace(-1.0, 1.0, 81),
+    ),
+    "few-crossings": (
+        lambda: from_density_fn((-2.0, 2.0), 1600, lambda t: np.cos(pi * t)),
+        lambda: annulus(0.025),
+        np.linspace(-1.0, 1.0, 81),
+    ),
+    "seven-jumps": (
+        lambda: from_density_fn((-1.0, 1.0), 40, lambda t: np.floor(4 * t)),
+        lambda: annulus(0.1),
+        np.linspace(-0.7, 0.7, 29),
+    ),
+    "no-jumps": (lambda: from_density_fn((-1.0, 1.0), 50, np.ones_like), lambda: annulus(0.1), np.linspace(-0.7, 0.7, 9)),
+    "64-crossings": (
+        lambda: from_density_fn((-2.0, 2.0), 400, lambda t: (-1.0) ** np.arange(t.size)),
+        lambda: annulus(0.1625),
+        np.linspace(-0.5, 0.5, 157),
+    ),
+    "graded": (
+        lambda: _two_atoms_on(3.0, 600),
+        lambda: normalize(fractional(1, 0.5)),
+        np.linspace(-0.7, 0.7, 41),
+    ),
+}
+
+
+class TestProbeStacks:
+    """A stack of probes gets, probe by probe, the panels and the value that
+    one probe alone gets."""
+
+    @pytest.mark.parametrize("case", STACKS)
+    def test_stack_matches_per_probe_loop(self, case):
+        make_mu, make_w, probes = STACKS[case]
+        mu, w = make_mu(), make_w()
+        R = truncation_radius(w)
+        want = []
+        for t in probes:
+            x = np.array([t])
+            nodes, wts = panel_rule(_radial_boundaries(mu, w, x, R), 8)
+            front = mu.n * unit_ball_volume(mu.n) * nodes ** (mu.n - 1) * w.profile(nodes)
+            want.append(np.einsum("k,k,kd->d", wts, front, _ball_average(mu, x, nodes, extend=False)))
+        assert np.array_equal(radial_of_measure(mu, w, probes[:, None]), np.stack(want))
+
+    @pytest.mark.parametrize("case", STACKS)
+    def test_rows_are_the_per_probe_panels(self, case):
+        make_mu, make_w, probes = STACKS[case]
+        mu, w = make_mu(), make_w()
+        R = truncation_radius(w)
+        rows = _radial_boundaries(mu, w, probes[:, None], R)
+        assert rows.shape[0] == probes.size
+        if case == "64-crossings":
+            crossing = np.abs(mu.jumps - probes[:, None])
+            assert set(((crossing > 0.0) & (crossing < R)).sum(axis=-1)) == {64, 65}
+        for t, row in zip(probes, rows):
+            assert np.array_equal(row[~np.isnan(row)], reference_boundaries(mu, w, np.array([t]), R))
+
+    def test_shapes(self):
+        mu, w = _two_atoms_on(1.0, 250), annulus(0.1)
+        assert radial_of_measure(mu, w, 0.3).shape == (1,)
+        assert radial_of_measure(mu, w, np.array([0.3])).shape == (1,)
+        assert radial_of_measure(mu, w, np.zeros((5, 1))).shape == (5, 1)
+        stack = np.linspace(-0.5, 0.5, 6).reshape(2, 3, 1)
+        flat = radial_of_measure(mu, w, stack.reshape(6, 1))
+        assert np.array_equal(radial_of_measure(mu, w, stack), flat.reshape(2, 3, 1))
+        for bad in (np.zeros((5, 2)), np.zeros(3)):
+            with pytest.raises(MeasureError):
+                radial_of_measure(mu, w, bad)
+        mu2 = MeasureField(n=2, window=[[-1, 1], [-1, 1]], density=np.ones((20, 20, 1)))
+        with pytest.raises(MeasureError):
+            radial_of_measure(mu2, normalize(bump(2, 0.3)), 0.1)
+
+    def test_window_exit_of_one_probe_is_an_error(self):
+        mu, w = sign_measure(window=(-1.0, 1.0), cells=200), annulus(0.1)
+        with pytest.raises(WindowExitError, match=r"probe \[0\.9\]"):
+            radial_of_measure(mu, w, np.array([[-0.5], [0.0], [0.9], [0.3]]))
+        with pytest.raises(WindowExitError, match=r"probe \[0\.9\]"):
+            _ball_average(mu, np.array([[0.0], [0.9]]), np.array([[0.1, 0.2], [0.05, 0.15]]), extend=False)
+
+    def test_atom_on_the_boundary_of_one_probe_is_an_error(self):
+        mu = dirac((-1.0, 1.0), 0.5, 1.0)
+        radii = np.array([[0.1, 0.25], [0.1, 0.25]])
+        assert _ball_average(mu, np.array([[0.0], [0.1]]), radii, extend=False).shape == (2, 2, 1)
+        with pytest.raises(AtomOnBoundaryError, match=r"radius 0\.25 around probe \[0\.25\]"):
+            _ball_average(mu, np.array([[0.0], [0.25]]), radii, extend=False)
+
+    @pytest.mark.parametrize("eps", [0.1, 0.01])
+    def test_linf_gap_makes_one_ball_average_pass(self, eps, monkeypatch):
+        # the work per eps must not grow with the probe count: the gap
+        # reads one stacked ball average, never one per probe
+        calls = []
+        kernel = measures._ball_average
+
+        def counted(*args, **kwargs):
+            calls.append(args[1].shape)
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(measures, "_ball_average", counted)
+        counts = {}
+        for probes in (40, 400):
+            monkeypatch.setattr(measures, "LINF_PROBES", probes)
+            calls.clear()
+            linf_gap(eps)
+            counts[probes] = len(calls)
+            assert calls[0] == (probes, 1)
+        assert counts[40] == counts[400] == 1
 
 
 class TestRadialOfMeasure:
@@ -195,6 +358,7 @@ class TestSupNormGap:
     def test_gap_stays_above_limit(self):
         floor = 1.0 - log(2.0) - 1e-9
         g1, g2 = linf_gap(0.1), linf_gap(0.01)
+        assert type(g1) is float and type(g2) is float
         assert g1 >= floor and g2 >= floor
         assert g2 <= g1
 

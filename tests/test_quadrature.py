@@ -7,7 +7,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from nlops.quadrature import gauss_jacobi, sphere_quadrature, sphere_surface
+from nlops.quadrature import gauss_jacobi, graded_boundaries, panel_rule, sphere_quadrature, sphere_surface
 
 
 def product_rule_loop(order):
@@ -77,3 +77,23 @@ def test_gauss_jacobi_integrates_its_weight_exactly():
 def test_gauss_jacobi_rejects_bad_arguments(order, a):
     with pytest.raises(ValueError):
         gauss_jacobi(order, a)
+
+
+def test_stacked_panel_rows_match_one_rule_per_row():
+    rows = np.sort(np.random.default_rng(3).uniform(0.0, 2.0, size=(2, 3, 6)), axis=-1)
+    nodes, weights = panel_rule(rows, 8)
+    assert nodes.shape == weights.shape == (2, 3, 5 * 8)
+    for i in np.ndindex(2, 3):
+        want_nodes, want_weights = panel_rule(rows[i], 8)
+        assert np.array_equal(nodes[i], want_nodes)
+        assert np.array_equal(weights[i], want_weights)
+    with pytest.raises(ValueError):
+        panel_rule(rows[..., ::-1], 8)
+
+
+def test_graded_rows_match_one_grading_per_end():
+    ends = np.array([0.3, 1.0, 2.5])
+    rows = graded_boundaries(0.0, ends, 12, power=3.0)
+    assert rows.shape == (3, 13)
+    for end, row in zip(ends, rows):
+        assert np.array_equal(row, graded_boundaries(0.0, float(end), 12, power=3.0))
