@@ -5,8 +5,10 @@ The evaluator switches between three branches of real order alpha >= 0:
 * ascending series for t < max(8, 2*alpha),
 * the Poisson integral representation for intermediate t, summed with the
   shared Gauss-Jacobi rule ``quadrature.gauss_jacobi(POISSON_ORDER,
-  alpha - 1/2)``,
-* the Hankel asymptotic expansion for t > 30 + alpha**2.
+  alpha - 1/2)`` (every order but the half-integers),
+* the Hankel asymptotic expansion for t > 30 + alpha**2; for half-integer
+  alpha it terminates, so it is the closed form of the spherical Bessel
+  functions (DLMF 10.49.3) and takes every t >= max(8, 2*alpha).
 
 The windows overlap generously and branch consistency is part of the test
 suite.  All entry points accept scalars or numpy arrays.
@@ -31,7 +33,7 @@ from nlops.quadrature import gauss_jacobi
 #: resolves cos(t*s) with |t| <= 31 to machine accuracy with a wide margin.
 POISSON_ORDER = 80
 
-#: Rows of the (points x POISSON_ORDER) cosine buffer filled at once.  A
+#: Rows of the (points x POISSON_ORDER / 2) cosine buffer filled at once.  A
 #: multiple of 4, so each row's dot product with the Gauss weights takes the
 #: same BLAS kernel as in one unchunked single-threaded product, bit for
 #: bit; and small enough that OpenBLAS keeps each product on one thread, so
@@ -40,8 +42,8 @@ POISSON_ROWS = 2**6
 
 #: Largest accepted order.  Up to it ``bessel_j`` stays within 4.1e-11 of an
 #: independent reference on t in [0, 1e3]; beyond it the Poisson window
-#: reaches 30 + alpha^2, more than POISSON_ORDER resolves (2.2e-10 at
-#: alpha = 5.5, 32 at alpha = 10).
+#: reaches 30 + alpha^2, more than POISSON_ORDER resolves (4.5e-10 at
+#: alpha = 6, 32 at alpha = 10).
 MAX_ORDER = 5.0
 
 #: Maximum number of ascending-series terms; the series is truncated earlier
@@ -76,7 +78,11 @@ def _poisson(alpha: float, t: np.ndarray) -> np.ndarray:
     # Poisson representation: J_alpha(t) = (t/2)^alpha / (Gamma(alpha+1/2)
     # Gamma(1/2)) * int_{-1}^{1} cos(t s) (1-s^2)^(alpha-1/2) ds, evaluated
     # with the Gauss-Jacobi rule matching the (1-s^2)^(alpha-1/2) weight.
+    # The integrand is even and the rule symmetric, so the nonnegative half
+    # of its nodes, with doubled weights, gives the same sum.
     x, w = gauss_jacobi(POISSON_ORDER, alpha - 0.5)
+    half = POISSON_ORDER // 2
+    x, w = x[half:], 2.0 * w[half:]
     pref = (t / 2.0) ** alpha / (gamma(alpha + 0.5) * gamma(0.5))
     flat = t.reshape(-1)
     integral = np.empty_like(flat)
@@ -112,8 +118,9 @@ def bessel_j(alpha, t):
     0 <= alpha <= MAX_ORDER; other orders raise ValueError.
 
     Absolute accuracy on t in [0, 1e3] is better than 1e-10 over that range
-    of orders, and better than 5e-13 for the orders this package uses
-    (alpha <= 2).  Scalar input returns a float.
+    of orders, better than 5e-13 for the orders this package uses
+    (alpha <= 2), and better than 5e-14 for half-integer orders, whose
+    Hankel expansion is exact.  Scalar input returns a float.
     """
     a = _as_order(alpha)
     t_arr = np.asarray(t, dtype=float)
@@ -123,7 +130,8 @@ def bessel_j(alpha, t):
         raise ValueError("bessel_j requires t >= 0")
     out = np.empty_like(t_arr)
     lo = t_arr < max(8.0, 2.0 * a)
-    hi = t_arr > 30.0 + a * a
+    # the Hankel expansion terminates for half-integer orders
+    hi = t_arr >= max(8.0, 2.0 * a) if a % 1.0 == 0.5 else t_arr > 30.0 + a * a
     mid = ~(lo | hi)
     if lo.any():
         out[lo] = _series(a, t_arr[lo])

@@ -2,12 +2,14 @@
 
 Fields live on the uniform N^n grid of the unit torus [0,1)^n with one
 vector fiber per grid point, and u(x) = sum_m uhat(m) e^(2 pi i m . x) over
-integer frequencies.  All five operators run through one pipeline: one FFT;
-the local spectrum 2 pi i A(m) uhat(m), Nyquist rows zeroed on every route;
-for the four averaged operators, pruning below SPECTRUM_FLOOR of its peak;
-one inverse FFT.  In between, the multiplier routes scale by a radial
-multiplier (the ball transform, or the weight's Bessel multiplier) through a
-table over the frequency shells |m| that carry spectrum, filled by one call.
+integer frequencies.  All five operators run through one pipeline: one real
+FFT; the local spectrum 2 pi i A(m) uhat(m), Nyquist rows zeroed on every
+route; for the four averaged operators, pruning below SPECTRUM_FLOOR of its
+peak; one inverse real FFT.  Fields are real, so the input and output
+spectra are Hermitian, and every step runs on the half spectrum m_n >= 0
+alone.  In between, the multiplier routes scale by a radial multiplier (the
+ball transform, or the weight's Bessel multiplier) through a table over the
+frequency shells |m| that carry spectrum, filled by one call.
 The direct (quadrature) routes, independent cross-checks, replace m by the
 sphere rule's difference-quotient symbol, which tends to m as the scale
 goes to 0, and never evaluate a closed-form multiplier.  Both radial routes
@@ -112,11 +114,16 @@ def frequency_grid(n: int, N: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Grid:
-    """Frequency facts of the N^n grid, shared by every spectral route.
+    """Frequency facts of the half spectrum of the N^n grid, shared by every
+    spectral route.
 
-    ``m`` is the float frequency grid, ``norms`` holds |m|, ``nyquist`` marks
-    the frequencies on a Nyquist row, and ``shells``/``shell_of`` are
-    ``np.unique(norms, return_inverse=True)``.  All arrays are read-only.
+    The real FFT keeps the last-axis indices 0..N/2, so ``m`` is the float
+    frequency grid sliced to them, with its last component taken as |m_n|
+    (index N/2 is the Nyquist frequency, stored as -N/2 by ``fftfreq``).
+    ``norms`` holds |m|, ``nyquist`` marks the frequencies on a Nyquist row,
+    and ``shells``/``shell_of`` are ``np.unique(norms, return_inverse=True)``;
+    since |-m| = |m|, the shells are those of the full grid.  All arrays are
+    read-only.
     """
 
     m: np.ndarray
@@ -128,8 +135,9 @@ class _Grid:
 
 @functools.lru_cache(maxsize=8)
 def _grid(n: int, N: int) -> _Grid:
-    """The frequency facts of the N^n grid, computed once per (n, N)."""
-    m = frequency_grid(n, N)
+    """The frequency facts of the N^n half spectrum, computed once per (n, N)."""
+    m = frequency_grid(n, N)[..., : N // 2 + 1, :]
+    m[..., -1] = np.abs(m[..., -1])
     m_float = m.astype(float)
     norms = np.sqrt(np.sum(m_float**2, axis=-1))
     shells, shell_of = np.unique(norms, return_inverse=True)
@@ -163,16 +171,21 @@ def _contract(op: FirstOrderOperator, uhat: np.ndarray, k: np.ndarray) -> np.nda
 def _apply(
     op: FirstOrderOperator, u: TorusField, kernel: Optional[Callable] = None, multiplier: Optional[Callable] = None
 ) -> TorusField:
-    """One FFT, the local spectrum with its Nyquist rows zeroed, one inverse FFT.
+    """One real FFT, the local spectrum with its Nyquist rows zeroed, one
+    inverse real FFT.
 
-    Passing a hook, as the averaged operators do, prunes the spectrum below
-    SPECTRUM_FLOOR of its peak.  ``kernel`` maps the remaining frequencies,
-    shape (k, n), to the symbol that replaces m; ``multiplier`` maps the
-    sorted |m| of the remaining shells to values scattered back over them.
+    The field is real, so its spectrum and the output's are Hermitian: every
+    step runs on the half spectrum of ``np.fft.rfftn`` (last frequency
+    m_n >= 0), about half the modes of the full grid, and ``np.fft.irfftn``
+    restores the other half.  Passing a hook, as the averaged operators do,
+    prunes the spectrum below SPECTRUM_FLOOR of its peak.  ``kernel`` maps
+    the remaining frequencies, shape (k, n), to the symbol that replaces m;
+    ``multiplier`` maps the sorted |m| of the remaining shells to values
+    scattered back over them.
     """
     axes = tuple(range(u.n))
     grid = _grid(u.n, u.N)
-    uhat = np.fft.fftn(u.values, axes=axes)
+    uhat = np.fft.rfftn(u.values, axes=axes)
     out = _contract(op, uhat, grid.m)
     if kernel is None:
         # only a kernel reads the input spectrum again; free it before the
@@ -191,7 +204,7 @@ def _apply(
             table = np.zeros(grid.shells.size)
             table[present] = multiplier(grid.shells[present])
             out *= np.where(active, table[grid.shell_of], 0.0)[..., None]
-    vals = np.fft.ifftn(out, axes=axes).real
+    vals = np.fft.irfftn(out, s=(u.N,) * u.n, axes=axes)
     return TorusField(n=u.n, N=u.N, values=vals)
 
 

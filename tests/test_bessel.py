@@ -28,6 +28,14 @@ def test_matches_scipy_up_to_the_largest_order(alpha):
     np.testing.assert_allclose(bessel_j(alpha, t), jv(alpha, t), atol=1e-10, rtol=0)
 
 
+@pytest.mark.parametrize("alpha", [2.5, 3.5, 4.5])
+def test_half_integer_orders_take_the_exact_hankel_form(alpha):
+    # the Hankel expansion terminates for half-integer orders, so above the
+    # series window it is exact and no quadrature error enters
+    t = np.concatenate([np.linspace(1e-4, 8, 400), np.linspace(8, 1000, 2000)])
+    np.testing.assert_allclose(bessel_j(alpha, t), jv(alpha, t), atol=5e-14, rtol=0)
+
+
 @pytest.mark.parametrize("alpha", [MAX_ORDER + 0.5, 10.0, -1.0])
 def test_orders_outside_the_range_rejected(alpha):
     with pytest.raises(ValueError, match=r"\[0, 5\]"):
@@ -51,7 +59,14 @@ def test_branch_overlap_consistency(alpha):
 def test_half_order_closed_form():
     t = np.arange(0.1, 50.0001, 0.01)
     closed = np.sqrt(2.0 / (np.pi * t)) * np.sin(t)
-    assert np.max(np.abs(bessel_j(0.5, t) - closed)) < 1e-9
+    assert np.max(np.abs(bessel_j(0.5, t) - closed)) < 5e-14
+
+
+def test_three_halves_closed_form_beyond_the_series():
+    # J_{3/2}(t) = sqrt(2/(pi t)) (sin t / t - cos t), DLMF 10.49.3
+    t = np.arange(8.0, 50.0001, 0.01)
+    closed = np.sqrt(2.0 / (np.pi * t)) * (np.sin(t) / t - np.cos(t))
+    assert np.max(np.abs(bessel_j(1.5, t) - closed)) < 5e-15
 
 
 def test_scalar_input_returns_scalar():

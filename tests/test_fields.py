@@ -13,6 +13,7 @@ from nlops.bessel import ball_transform, bessel_j
 from nlops.fields import (
     SPECTRUM_FLOOR,
     TorusField,
+    _direct_symbol,
     _shell_multipliers,
     apply_local,
     apply_radial_direct,
@@ -37,7 +38,15 @@ from nlops.operators import (
     scalar_derivative,
     wave_rank,
 )
-from nlops.weights import annulus, annulus_family, bump, gaussian_modification, mu_hat, normalize
+from nlops.weights import (
+    annulus,
+    annulus_family,
+    bump,
+    gaussian_modification,
+    mu_hat,
+    normalize,
+    superposition_measure,
+)
 
 D1 = scalar_derivative()
 
@@ -392,38 +401,71 @@ class TestShellTable:
         assert sum(sizes) == accepted + 1
 
 
-def reference_local_hat(op, u):
-    """The local spectrum as computed before the grid facts were cached:
-    the integer frequency grid and the Nyquist mask rebuilt on every call."""
-    axes = tuple(range(u.n))
-    uhat = np.fft.fftn(u.values, axes=axes)
-    m = frequency_grid(u.n, u.N)
+def reference_contract(op, uhat, k):
+    """2 pi i sum_i k_i (uhat A_i^T), one term at a time."""
     out = np.zeros(uhat.shape[:-1] + (op.dim_w,), dtype=complex)
     for i, a in enumerate(op.coeffs):
-        out += m[..., i : i + 1] * (uhat @ a.T)
+        out += k[..., i : i + 1] * (uhat @ a.T)
     out *= 2j * pi
+    return out
+
+
+def half_frequency_grid(n, N):
+    """The integer frequencies of the real FFT's half spectrum: ``fftfreq``
+    on every axis but the last, ``rfftfreq`` (0..N/2) on the last."""
+    freqs = [np.fft.fftfreq(N, d=1.0 / N)] * (n - 1) + [np.fft.rfftfreq(N, d=1.0 / N)]
+    return np.stack(np.meshgrid(*freqs, indexing="ij"), axis=-1).astype(int)
+
+
+def reference_local_hat(op, u, half=False):
+    """The local spectrum as computed before the grid facts were cached:
+    the integer frequency grid and the Nyquist mask rebuilt on every call.
+    The full complex FFT by default; ``half`` takes the real FFT's half
+    spectrum."""
+    axes = tuple(range(u.n))
+    if half:
+        uhat, m = np.fft.rfftn(u.values, axes=axes), half_frequency_grid(u.n, u.N)
+    else:
+        uhat, m = np.fft.fftn(u.values, axes=axes), frequency_grid(u.n, u.N)
+    out = reference_contract(op, uhat, m)
     out[np.any(np.abs(m) == u.N // 2, axis=-1)] = 0.0
     return out
 
 
-def reference_radial_spectral(op, u, cache):
-    """apply_radial_spectral as computed before the grid facts were cached,
-    reading every multiplier from a full ``cache``."""
+def reference_route(op, u, kernel=None, multiplier=None, half=False):
+    """An averaged route as computed before the grid facts were cached, with
+    the hooks of ``fields._apply``.  The full complex FFT (``fftn``, every
+    mode, ``ifftn``) by default; ``half`` takes the real FFT's half spectrum
+    (``rfftn``, m_n >= 0, ``irfftn``)."""
     axes = tuple(range(u.n))
-    m = frequency_grid(u.n, u.N)
-    norms = np.sqrt(np.sum(m.astype(float) ** 2, axis=-1))
-    loc = reference_local_hat(op, u)
+    m = (half_frequency_grid if half else frequency_grid)(u.n, u.N).astype(float)
+    loc = reference_local_hat(op, u, half)
     mag = np.max(np.abs(loc), axis=-1)
     active = mag > SPECTRUM_FLOOR * np.max(mag)
     loc = np.where(active[..., None], loc, 0.0)
-    shells, shell_of = np.unique(norms[active], return_inverse=True)
-    damp = np.zeros_like(norms)
-    damp[active] = np.array([cache[xi] for xi in shells])[shell_of]
-    return np.fft.ifftn(loc * damp[..., None], axes=axes).real
+    if kernel is not None:
+        uhat = np.fft.rfftn(u.values, axes=axes) if half else np.fft.fftn(u.values, axes=axes)
+        loc[active] = reference_contract(op, uhat[active], kernel(m[active]))
+    if multiplier is not None:
+        norms = np.sqrt(np.sum(m**2, axis=-1))
+        shells, shell_of = np.unique(norms[active], return_inverse=True)
+        damp = np.zeros_like(norms)
+        damp[active] = np.asarray(multiplier(shells))[shell_of]
+        loc = loc * damp[..., None]
+    if half:
+        return np.fft.irfftn(loc, s=(u.N,) * u.n, axes=axes)
+    return np.fft.ifftn(loc, axes=axes).real
+
+
+def reference_radial_spectral(op, u, cache, half=False):
+    """apply_radial_spectral as computed before the grid facts were cached,
+    reading every multiplier from a full ``cache``."""
+    return reference_route(op, u, multiplier=lambda xis: [cache[xi] for xi in xis], half=half)
 
 
 class TestGridFacts:
-    """The cached frequency facts give bit-identical outputs."""
+    """The cached frequency facts give bit-identical outputs to the same
+    real-FFT pipeline with the half grid rebuilt on every call."""
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("spectrum", ["dense", "sparse"])
@@ -438,9 +480,77 @@ class TestGridFacts:
             else:
                 u = random_trig_field(n, N, op.dim_v, rng, max_degree=3)
             got = apply_radial_spectral(op, u, w, cache)
-            assert np.array_equal(got.values, reference_radial_spectral(op, u, cache))
-            local = np.fft.ifftn(reference_local_hat(op, u), axes=tuple(range(n))).real
+            assert np.array_equal(got.values, reference_radial_spectral(op, u, cache, half=True))
+            local = np.fft.irfftn(reference_local_hat(op, u, half=True), s=(N,) * n, axes=tuple(range(n)))
             assert np.array_equal(apply_local(op, u).values, local)
+
+
+def every_route(op, u, quad_order):
+    """The five torus operators on ``u``, each paired with its full complex-FFT
+    reference: name -> (route, reference)."""
+    n = u.n
+    s, w = 0.15, normalize(bump(n))
+    radii, rweights = superposition_measure(w)
+    cache = {}
+    return {
+        "local": (
+            lambda: apply_local(op, u),
+            lambda: np.fft.ifftn(reference_local_hat(op, u), axes=tuple(range(n))).real,
+        ),
+        "spherical_spectral": (
+            lambda: apply_spherical_spectral(op, u, s),
+            lambda: reference_route(op, u, multiplier=lambda xis: ball_transform(n, s, xis)),
+        ),
+        "spherical_direct": (
+            lambda: apply_spherical_direct(op, u, s, quad_order),
+            lambda: reference_route(
+                op, u, kernel=lambda m: _direct_symbol(m, np.array([s]), np.array([1.0]), quad_order)
+            ),
+        ),
+        "radial_spectral": (
+            lambda: apply_radial_spectral(op, u, w, cache),
+            lambda: reference_radial_spectral(op, u, cache),
+        ),
+        "radial_direct": (
+            lambda: apply_radial_direct(op, u, w, quad_order),
+            lambda: reference_route(op, u, kernel=lambda m: _direct_symbol(m, radii, rweights, quad_order)),
+        ),
+    }
+
+
+class TestHalfSpectrum:
+    """Every route runs on the real FFT's half spectrum: the output spectrum
+    is Hermitian, so the other half adds nothing but a second rounding."""
+
+    #: grid size and sphere order per dimension for white-noise fields
+    GRIDS = {1: (32, 64), **WHITE_NOISE}
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_every_route_matches_the_full_complex_fft(self, n):
+        op = TestRadial.CASES[n][0]
+        N, order = self.GRIDS[n]
+        u = TorusField(n=n, N=N, values=np.random.default_rng(60 + n).standard_normal((N,) * n + (op.dim_v,)))
+        for name, (route, reference) in every_route(op, u, order).items():
+            got = route().values
+            want = reference()
+            assert np.max(np.abs(got - want)) <= 2e-15 * np.max(np.abs(want)), name
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_one_real_fft_each_way_per_application(self, n, monkeypatch):
+        op, N, order = TestRadial.CASES[n]
+        u = random_trig_field(n, N, op.dim_v, np.random.default_rng(70 + n), max_degree=3)
+        calls = []
+        for name in ("fftn", "ifftn", "rfftn", "irfftn"):
+
+            def counted(*args, _name=name, _fft=getattr(np.fft, name), **kwargs):
+                calls.append(_name)
+                return _fft(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counted)
+        for name, (route, _) in every_route(op, u, order).items():
+            calls.clear()
+            route()
+            assert calls == ["rfftn", "irfftn"], name
 
 
 class TestLocalization:
