@@ -7,9 +7,13 @@ FFT; the local spectrum 2 pi i A(m) uhat(m), Nyquist rows zeroed on every
 route; for the four averaged operators, pruning below SPECTRUM_FLOOR of its
 peak; one inverse real FFT.  Fields are real, so the input and output
 spectra are Hermitian, and every step runs on the half spectrum m_n >= 0
-alone.  In between, the multiplier routes scale by a radial multiplier (the
-ball transform, or the weight's Bessel multiplier) through a table over the
-frequency shells |m| that carry spectrum, filled by one call.
+alone.  Inside the pipeline the spectra are indexed fiber-first,
+(dim,) + (N, ..., N/2+1): each coefficient matrix A_i acts on all modes in
+one 2-D product, and the fiber maximum that pruning reads, the multiplier
+and the inverse FFT run over contiguous whole-grid rows.  In between, the
+multiplier routes scale by a radial multiplier (the ball transform, or the
+weight's Bessel multiplier) through a table over the frequency shells |m|
+that carry spectrum, filled by one call.
 The direct (quadrature) routes, independent cross-checks, replace m by the
 sphere rule's difference-quotient symbol, which tends to m as the scale
 goes to 0, and never evaluate a closed-form multiplier.  Both radial routes
@@ -53,20 +57,6 @@ DIRECT_BLOCK = 2**13
 #: CHEB_TAIL coefficients are at most CHEB_CHOP times its largest one.
 CHEB_CHOP = 1e-14
 CHEB_TAIL = 8
-
-
-def _active_spectrum(spec: np.ndarray) -> np.ndarray:
-    """Mask of frequencies with non-negligible fiber magnitude.
-
-    FFT round-off leaves ~1e-16 dust on every frequency of a band-limited
-    field; entries below SPECTRUM_FLOOR relative to the peak contribute less
-    than that to any output and are skipped.
-    """
-    mag = np.max(np.abs(spec), axis=-1)
-    peak = float(np.max(mag, initial=0.0))
-    if peak == 0.0:
-        return np.zeros(mag.shape, dtype=bool)
-    return mag > SPECTRUM_FLOOR * peak
 
 
 @dataclass(frozen=True)
@@ -119,7 +109,8 @@ class _Grid:
 
     The real FFT keeps the last-axis indices 0..N/2, so ``m`` is the float
     frequency grid sliced to them, with its last component taken as |m_n|
-    (index N/2 is the Nyquist frequency, stored as -N/2 by ``fftfreq``).
+    (index N/2 is the Nyquist frequency, stored as -N/2 by ``fftfreq``), and
+    stored fiber-first like the pipeline's spectra: shape (n, N, ..., N/2+1).
     ``norms`` holds |m|, ``nyquist`` marks the frequencies on a Nyquist row,
     and ``shells``/``shell_of`` are ``np.unique(norms, return_inverse=True)``;
     since |-m| = |m|, the shells are those of the full grid.  All arrays are
@@ -138,10 +129,10 @@ def _grid(n: int, N: int) -> _Grid:
     """The frequency facts of the N^n half spectrum, computed once per (n, N)."""
     m = frequency_grid(n, N)[..., : N // 2 + 1, :]
     m[..., -1] = np.abs(m[..., -1])
-    m_float = m.astype(float)
-    norms = np.sqrt(np.sum(m_float**2, axis=-1))
+    m = np.moveaxis(m, -1, 0).astype(float, order="C")
+    norms = np.sqrt(np.sum(m**2, axis=0))
     shells, shell_of = np.unique(norms, return_inverse=True)
-    grid = _Grid(m_float, norms, np.any(np.abs(m) == N // 2, axis=-1), shells, shell_of.reshape(norms.shape))
+    grid = _Grid(m, norms, np.any(np.abs(m) == N // 2, axis=0), shells, shell_of.reshape(norms.shape))
     for arr in vars(grid).values():
         arr.flags.writeable = False
     return grid
@@ -157,15 +148,21 @@ def _check_compat(op: FirstOrderOperator, u: TorusField):
 
 
 def _contract(op: FirstOrderOperator, uhat: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """2 pi i sum_i k_i (uhat A_i^T), mode by mode."""
-    out = np.zeros(uhat.shape[:-1] + (op.dim_w,), dtype=complex)
+    """2 pi i sum_i k_i A_i uhat, mode by mode, on fiber-first spectra:
+    ``uhat`` (dim_v, ...) and ``k`` (n, ...) give (dim_w, ...)."""
+    # the forward FFT keeps the field's fiber-last memory order, so this is
+    # the one transposing copy of the input spectrum
+    flat = uhat.reshape(op.dim_v, -1)
+    out = np.zeros((op.dim_w, flat.shape[1]), dtype=complex)
     term = np.empty_like(out)
-    for i, a in enumerate(op.coeffs):
-        # out += k_i * (uhat @ A_i^T), through one reused buffer
-        np.multiply(k[..., i : i + 1], np.matmul(uhat, a.T, out=term), out=term)
+    for a, k_i in zip(op.coeffs, k.reshape(op.n, -1)):
+        # out += k_i * (A_i uhat): one 2-D product over every mode at once
+        np.matmul(a, flat, out=term)
+        # k_i first: with FMA, complex products round by operand order
+        np.multiply(k_i, term, out=term)
         out += term
     out *= 2j * pi
-    return out
+    return out.reshape((op.dim_w,) + uhat.shape[1:])
 
 
 def _apply(
@@ -177,35 +174,47 @@ def _apply(
     The field is real, so its spectrum and the output's are Hermitian: every
     step runs on the half spectrum of ``np.fft.rfftn`` (last frequency
     m_n >= 0), about half the modes of the full grid, and ``np.fft.irfftn``
-    restores the other half.  Passing a hook, as the averaged operators do,
-    prunes the spectrum below SPECTRUM_FLOOR of its peak.  ``kernel`` maps
-    the remaining frequencies, shape (k, n), to the symbol that replaces m;
-    ``multiplier`` maps the sorted |m| of the remaining shells to values
-    scattered back over them.
+    restores the other half.  Spectra are fiber-first, (dim,) + modes:
+    ``_contract`` makes one 2-D product per coefficient matrix, and
+    ``TorusField`` copies the inverse transform back to its fiber-last
+    layout.  Passing a hook, as the averaged operators do, prunes the
+    spectrum below SPECTRUM_FLOOR of the peak of its fiber maximum: FFT
+    round-off leaves ~1e-16 dust on every frequency of a band-limited field,
+    which contributes less than that to any output.  A non-finite field has
+    no finite peak and is rejected.  ``kernel`` maps the remaining
+    frequencies, shape (k, n), to the symbol that replaces m; ``multiplier``
+    maps the sorted |m| of the remaining shells to values scattered back
+    over them.
     """
-    axes = tuple(range(u.n))
+    axes = tuple(range(1, u.n + 1))
     grid = _grid(u.n, u.N)
-    uhat = np.fft.rfftn(u.values, axes=axes)
+    uhat = np.fft.rfftn(np.moveaxis(u.values, -1, 0), axes=axes)
     out = _contract(op, uhat, grid.m)
     if kernel is None:
         # only a kernel reads the input spectrum again; free it before the
         # pruning, the multiplier and the inverse FFT allocate
         del uhat
-    out[grid.nyquist] = 0.0
+    out[:, grid.nyquist] = 0.0
     if kernel is not None or multiplier is not None:
-        active = _active_spectrum(out)
+        mag = np.abs(out[0])
+        for row in out[1:]:
+            np.maximum(mag, np.abs(row), out=mag)
+        peak = float(np.max(mag, initial=0.0))
+        if not np.isfinite(peak):
+            raise ValueError("field values must be finite")
+        active = mag > SPECTRUM_FLOOR * peak
         # zero the pruned dust first, so its products are exact +0.0
-        out[~active] = 0.0
+        out[:, ~active] = 0.0
         if kernel is not None:
-            out[active] = _contract(op, uhat[active], kernel(grid.m[active]))
+            out[:, active] = _contract(op, uhat[:, active], kernel(grid.m[:, active].T).T)
         if multiplier is not None:
             present = np.zeros(grid.shells.size, dtype=bool)
             present[grid.shell_of[active]] = True
             table = np.zeros(grid.shells.size)
             table[present] = multiplier(grid.shells[present])
-            out *= np.where(active, table[grid.shell_of], 0.0)[..., None]
+            out *= np.where(active, table[grid.shell_of], 0.0)
     vals = np.fft.irfftn(out, s=(u.N,) * u.n, axes=axes)
-    return TorusField(n=u.n, N=u.N, values=vals)
+    return TorusField(n=u.n, N=u.N, values=np.moveaxis(vals, 0, -1))
 
 
 def apply_local(op: FirstOrderOperator, u: TorusField) -> TorusField:

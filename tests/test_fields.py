@@ -36,6 +36,7 @@ from nlops.operators import (
     divergence,
     gradient,
     scalar_derivative,
+    sym_grad,
     wave_rank,
 )
 from nlops.weights import (
@@ -464,15 +465,14 @@ def reference_radial_spectral(op, u, cache, half=False):
 
 
 class TestGridFacts:
-    """The cached frequency facts give bit-identical outputs to the same
-    real-FFT pipeline with the half grid rebuilt on every call."""
+    """The cached frequency facts and the fiber-first spectra give
+    bit-identical outputs to the same real-FFT pipeline with the half grid
+    rebuilt on every call and the spectra kept fiber-last."""
 
-    @pytest.mark.parametrize("n", [1, 2, 3])
-    @pytest.mark.parametrize("spectrum", ["dense", "sparse"])
-    def test_warm_routes_match_per_call_grid_code(self, n, spectrum):
-        op, N, _ = TestRadial.CASES[n]
+    @staticmethod
+    def assert_warm_routes_match(op, N, spectrum, rng):
+        n = op.n
         w = normalize(bump(n))
-        rng = np.random.default_rng(40 + n)
         cache = {}
         for _ in range(3):
             if spectrum == "dense":
@@ -483,6 +483,31 @@ class TestGridFacts:
             assert np.array_equal(got.values, reference_radial_spectral(op, u, cache, half=True))
             local = np.fft.irfftn(reference_local_hat(op, u, half=True), s=(N,) * n, axes=tuple(range(n)))
             assert np.array_equal(apply_local(op, u).values, local)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("spectrum", ["dense", "sparse"])
+    def test_warm_routes_match_per_call_grid_code(self, n, spectrum):
+        op, N, _ = TestRadial.CASES[n]
+        self.assert_warm_routes_match(op, N, spectrum, np.random.default_rng(40 + n))
+
+    @pytest.mark.parametrize(
+        "op",
+        [divergence(2), divergence(3), sym_grad(2), gradient(3), D1],
+        ids=lambda op: op.name,
+    )
+    @pytest.mark.parametrize("spectrum", ["dense", "sparse"])
+    def test_non_square_fibers_match_per_call_grid_code(self, op, spectrum):
+        # dim_v != dim_w (and the 1D scalar fiber): every fiber-first product
+        # and transpose must land each component where the fiber-last code does
+        N = TestRadial.CASES[op.n][1]
+        rng = np.random.default_rng(50 + op.dim_v + op.dim_w)
+        self.assert_warm_routes_match(op, N, spectrum, rng)
+        # the direct routes multiply the products by a complex symbol
+        u = TorusField(n=op.n, N=N, values=rng.standard_normal((N,) * op.n + (op.dim_v,)))
+        want = reference_route(
+            op, u, kernel=lambda m: _direct_symbol(m, np.array([0.15]), np.array([1.0]), 16), half=True
+        )
+        assert np.array_equal(apply_spherical_direct(op, u, 0.15, 16).values, want)
 
 
 def every_route(op, u, quad_order):
@@ -551,6 +576,73 @@ class TestHalfSpectrum:
             calls.clear()
             route()
             assert calls == ["rfftn", "irfftn"], name
+
+
+class TestFiberFirst:
+    """The pipeline holds spectra fiber-first: one 2-D product per
+    coefficient matrix over all modes, and TorusField's fiber-last layout
+    restored on the way out."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_one_2d_product_per_coefficient_matrix(self, n, monkeypatch):
+        op, N, order = TestRadial.CASES[n]
+        u = random_trig_field(n, N, op.dim_v, np.random.default_rng(80 + n), max_degree=3)
+        w, cache = normalize(bump(n)), {}
+        apply_radial_spectral(op, u, w, cache)
+        shapes = []
+
+        def counted(a, b, *args, _matmul=np.matmul, **kwargs):
+            shapes.append((np.ndim(a), np.ndim(b)))
+            return _matmul(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", counted)
+        apply_radial_spectral(op, u, w, cache)
+        assert shapes == [(2, 2)] * n
+        for direct in (
+            lambda: apply_spherical_direct(op, u, 0.15, order),
+            lambda: apply_radial_direct(op, u, w, order),
+        ):
+            # the local spectrum, then the symbol's spectrum on the active modes
+            shapes.clear()
+            direct()
+            assert shapes == [(2, 2)] * (2 * n)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_outputs_keep_the_fiber_last_layout(self, n):
+        op, N, order = TestRadial.CASES[n]
+        u = random_trig_field(n, N, op.dim_v, np.random.default_rng(90 + n), max_degree=3)
+        for name, (route, _) in every_route(op, u, order).items():
+            vals = route().values
+            assert vals.shape == (N,) * n + (op.dim_w,), name
+            assert vals.flags.c_contiguous and not vals.flags.writeable, name
+
+
+class TestNonFinite:
+    """A NaN or inf has no finite spectral peak to prune against; the
+    averaged routes reject it instead of pruning every mode to zero."""
+
+    ROUTES = {
+        "spherical_spectral": lambda op, u: apply_spherical_spectral(op, u, 0.15),
+        "spherical_direct": lambda op, u: apply_spherical_direct(op, u, 0.15, 16),
+        "radial_spectral": lambda op, u: apply_radial_spectral(op, u, normalize(bump(2))),
+        "radial_direct": lambda op, u: apply_radial_direct(op, u, normalize(bump(2)), 16),
+    }
+
+    @pytest.mark.parametrize("route", ROUTES)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_averaged_routes_reject_non_finite_fields(self, route, bad):
+        values = np.random.default_rng(7).standard_normal((16, 16, 1))
+        values[3, 5, 0] = bad
+        u = TorusField(n=2, N=16, values=values)
+        # the FFT of an infinity meets inf - inf, which numpy reports first
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="field values must be finite"):
+            self.ROUTES[route](gradient(2), u)
+
+    def test_local_route_propagates_them(self):
+        values = np.zeros((16, 16, 1))
+        values[3, 5, 0] = np.nan
+        out = apply_local(gradient(2), TorusField(n=2, N=16, values=values))
+        assert np.all(np.isnan(out.values))
 
 
 class TestLocalization:
