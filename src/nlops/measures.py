@@ -11,11 +11,13 @@ operator for measures.  ``spherical_of_measure`` and ``radial_of_measure``
 take probes as an array of shape (..., n), one probe per leading index, and
 keep those axes in the result: a whole stack goes through the kernel in
 one array pass, and each probe keeps its own radial panels and its own
-window and atom checks.  The
-module also provides the sup-norm localization gap for u(t) = |t|, the
-area functional with recession term, its convergence tables, a
-one-dimensional Gauss-Green residual for piecewise-smooth functions, and a
-two-dimensional atomic example with a discontinuous average.
+window and atom checks.  A weight singular at the origin takes, as in
+``weights``, the Gauss-Jacobi ``quadrature.origin_panel`` for its first
+radial panel.  The module also provides the sup-norm localization gap for
+u(t) = |t|, the area functional with recession term, its convergence
+tables, a one-dimensional Gauss-Green residual for piecewise-smooth
+functions, and a two-dimensional atomic example with a discontinuous
+average.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from nlops.quadrature import graded_boundaries, panel_rule
+from nlops.quadrature import origin_panel, panel_rule
 from nlops.weights import RadialWeight, annulus, truncation_radius
 from nlops.bessel import unit_ball_volume
 
@@ -288,8 +290,7 @@ def _radial_boundaries(mu: MeasureField, w: RadialWeight, x: np.ndarray, R: floa
     17-point uniform overlay) and the probe's own atom distances and
     density-jump crossings in (0, R); a probe with more than 64 crossings
     takes a 65-point overlay instead of them.  A point within 1e-14 of the
-    one before it is dropped.  For a singular weight the first panel is
-    then graded toward 0 by a cubic law.
+    one before it is dropped.
     """
     probes = x.reshape(-1, mu.n)
     shared = np.concatenate([[0.0, R], [b for b in w.breakpoints if 0.0 < b < R], np.linspace(0.0, R, 17)])
@@ -310,9 +311,6 @@ def _radial_boundaries(mu: MeasureField, w: RadialWeight, x: np.ndarray, R: floa
         cols.append(np.where(inside & few, crossing, np.nan))
         cols.append(np.where(few, np.nan, np.linspace(0.0, R, 65)[1:-1]))
     bounds = _dedupe(np.concatenate(cols, axis=-1), 1e-14)
-    if w.singularity_exponent < 0.0:
-        refined = graded_boundaries(0.0, bounds[:, 1], 12, power=3.0)
-        bounds = _dedupe(np.concatenate([refined, bounds], axis=-1), 0.0)
     return bounds.reshape(x.shape[:-1] + bounds.shape[-1:])
 
 
@@ -324,8 +322,9 @@ def radial_of_measure(mu: MeasureField, w: RadialWeight, x) -> np.ndarray:
     the operator integrates n omega_n rhohat(r) r^(n-1) times the ball
     average over r in (0, R], on Gauss panels split at every radius where
     the integrand can lose smoothness at that probe (atom crossings,
-    density jumps, weight breakpoints).  Probes with equally many panels
-    share one panel rule, and one ball-average pass serves every probe.
+    density jumps, weight breakpoints), the first of them ``origin_panel``
+    for a singular weight.  Probes with equally many panels share one panel
+    rule, and one ball-average pass serves every probe.
     """
     if w.n != mu.n:
         raise MeasureError(f"weight dimension {w.n} does not match measure dimension {mu.n}")
@@ -342,6 +341,8 @@ def radial_of_measure(mu: MeasureField, w: RadialWeight, x) -> np.ndarray:
         # past its own panels a row repeats its last node with weight 0,
         # which adds exact zeros to its sum and passes the same checks
         nodes[rows, m * k :] = nodes[rows, m * k - 1 : m * k]
+    if w.singularity_exponent < 0.0:
+        nodes[:, :m], wts[:, :m] = origin_panel(bounds[:, 1], m, mu.n - 1.0 + w.singularity_exponent)
     front = mu.n * unit_ball_volume(mu.n) * nodes ** (mu.n - 1) * w.profile(nodes)
     avg = _ball_average(mu, probes, nodes, extend=False)
     return np.einsum("pk,pk,pkd->pd", wts, front, avg).reshape(x.shape[:-1] + (mu.dim,))

@@ -1,15 +1,17 @@
 """Quadrature rules shared across the package.
 
-Every Gauss rule comes from ``gauss_jacobi(order, a)``, the Gauss rule for
-the weight (1 - x^2)^a on [-1, 1], built once per (order, a): Golub-Welsch
-eigenvalues of the Jacobi matrix, one Newton step on the orthonormal
-three-term recurrence, Christoffel weights, and symmetrisation.  Legendre is
-a = 0; the Poisson branch of ``bessel.bessel_j`` uses a = alpha - 1/2.
+Every Gauss rule comes from ``gauss_jacobi(order, a, b)``, the Gauss rule
+for the weight (1 - x)^a (1 + x)^b on [-1, 1], built once per (order, a, b):
+Golub-Welsch eigenvalues of the Jacobi matrix, one Newton step on the
+orthonormal three-term recurrence, Christoffel weights, and, for a = b,
+symmetrisation.  Legendre is a = b = 0; the Poisson branch of
+``bessel.bessel_j`` uses a = b = alpha - 1/2.
 
 Sphere rules return nodes on the unit sphere S^{n-1} together with surface
 weights summing to the total surface measure (2 points of weight 1 in n=1,
 circumference 2*pi in n=2, area 4*pi in n=3).  Radial rules are composite
-Gauss-Legendre panels on intervals of (0, infinity).
+Gauss-Legendre panels on intervals of (0, infinity); ``origin_panel`` is the
+Gauss-Jacobi first panel [0, b] (a = 0, b = e) of an integrand ~ r^e at 0.
 """
 
 from __future__ import annotations
@@ -18,53 +20,63 @@ from math import exp, lgamma, pi, sqrt
 
 import numpy as np
 
-_gauss_rules: dict[tuple[int, float], tuple[np.ndarray, np.ndarray]] = {}
+_gauss_rules: dict[tuple[int, float, float], tuple[np.ndarray, np.ndarray]] = {}
 
 
-def gauss_jacobi(order: int, a: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss rule for the weight (1 - x^2)^a on [-1, 1], a > -1.
+def gauss_jacobi(order: int, a: float = 0.0, b: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss rule for the weight (1 - x)^a (1 + x)^b on [-1, 1], a, b > -1.
 
-    Returns read-only (nodes, weights), nodes ascending and symmetric about 0,
-    weights summing to sqrt(pi) Gamma(a+1) / Gamma(a+3/2).  Exact for
-    polynomials of degree < 2 * order; memoized per (order, a).
+    ``b`` defaults to ``a``, the weight (1 - x^2)^a.  Returns read-only
+    (nodes, weights), nodes ascending, weights summing to
+    2^(a+b+1) Gamma(a+1) Gamma(b+1) / Gamma(a+b+2).  Exact for polynomials
+    of degree < 2 * order; memoized per (order, a, b).
 
     Golub & Welsch, Math. Comp. 23 (1969): the nodes are the eigenvalues of
-    the symmetric Jacobi matrix with off-diagonal sqrt(beta_k),
-    beta_k = k (k + 2a) / (4 (k + a)^2 - 1) and beta_1 = 1 / (3 + 2a).  Each
-    node then takes one Newton step on the orthonormal recurrence (Hale &
+    the symmetric Jacobi matrix of the orthonormal recurrence
+    x p_k = sqrt(beta_{k+1}) p_{k+1} + alpha_k p_k + sqrt(beta_k) p_{k-1}.
+    Each node then takes one Newton step on that recurrence (Hale &
     Townsend, SIAM J. Sci. Comput. 35 (2013)), and its weight is the
-    Christoffel number 1 / sum_k p_k(x)^2.
+    Christoffel number 1 / sum_k p_k(x)^2.  A symmetric rule (a = b) has
+    alpha_k = 0 and beta_k = k (k + 2a) / (4 (k + a)^2 - 1), and is
+    symmetrised about 0.
     """
-    key = (int(order), float(a))
+    key = (int(order), float(a), float(a if b is None else b))
     if key not in _gauss_rules:
         _gauss_rules[key] = _golub_welsch(*key)
     return _gauss_rules[key]
 
 
-def _golub_welsch(order: int, a: float) -> tuple[np.ndarray, np.ndarray]:
+def _golub_welsch(order: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     if order < 1:
         raise ValueError("Gauss rule order must be >= 1")
-    if not a > -1.0:
-        raise ValueError(f"Gauss-Jacobi exponent must exceed -1, got {a}")
-    k = np.arange(2.0, order + 1.0)
-    beta = np.concatenate(([1.0 / (3.0 + 2.0 * a)], k * (k + 2.0 * a) / (4.0 * (k + a) ** 2 - 1.0)))
-    b = np.sqrt(beta)  # b[k-1] couples p_{k-1} and p_k
-    x = np.linalg.eigvalsh(np.diag(b[:-1], 1) + np.diag(b[:-1], -1))
-    mu0 = sqrt(pi) * exp(lgamma(a + 1.0) - lgamma(a + 1.5))
+    if not (a > -1.0 and b > -1.0):
+        raise ValueError(f"Gauss-Jacobi exponents must exceed -1, got {a} and {b}")
+    k = np.arange(1.0, order + 1.0)
+    if a == b:
+        alpha = np.zeros(order)
+        beta = np.append(1.0 / (3.0 + 2.0 * a), k[1:] * (k[1:] + 2.0 * a) / (4.0 * (k[1:] + a) ** 2 - 1.0))
+        mu0 = sqrt(pi) * exp(lgamma(a + 1.0) - lgamma(a + 1.5))
+    else:
+        c = 2.0 * k + a + b  # at k = 1 the factor (k + a + b) / (c - 1) of beta_k is 1
+        alpha = np.append((b - a) / (a + b + 2.0), (b * b - a * a) / (c[:-1] * (c[:-1] + 2.0)))
+        beta = 4.0 * k * (k + a) * (k + b) / (c * c * (c + 1.0)) * np.append(1.0, (k[1:] + a + b) / (c[1:] - 1.0))
+        mu0 = 2.0 ** (a + b + 1.0) * exp(lgamma(a + 1.0) + lgamma(b + 1.0) - lgamma(a + b + 2.0))
+    off = np.sqrt(beta)  # off[k-1] couples p_{k-1} and p_k
+    x = np.linalg.eigvalsh(np.diag(alpha) + np.diag(off[:-1], 1) + np.diag(off[:-1], -1))
 
     def recurrence(x):
-        # orthonormal p_k and p_k' by x p_k = b_{k+1} p_{k+1} + b_k p_{k-1};
-        # returns p_order, p_order' and sum_{k < order} p_k^2
+        # orthonormal p_k and p_k' by the three-term recurrence; returns
+        # p_order, p_order' and sum_{k < order} p_k^2
         p_prev, p = np.zeros_like(x), np.full_like(x, 1.0 / sqrt(mu0))
         d_prev, d = np.zeros_like(x), np.zeros_like(x)
         squares = p * p
         for j in range(order):
-            b_prev = b[j - 1] if j else 0.0
+            o_prev = off[j - 1] if j else 0.0
             p_prev, p, d_prev, d = (
                 p,
-                (x * p - b_prev * p_prev) / b[j],
+                ((x - alpha[j]) * p - o_prev * p_prev) / off[j],
                 d,
-                (p + x * d - b_prev * d_prev) / b[j],
+                (p + (x - alpha[j]) * d - o_prev * d_prev) / off[j],
             )
             if j < order - 1:
                 squares += p * p
@@ -74,8 +86,9 @@ def _golub_welsch(order: int, a: float) -> tuple[np.ndarray, np.ndarray]:
     x = x - p / d
     _, _, squares = recurrence(x)
     w = 1.0 / squares
-    x = 0.5 * (x - x[::-1])
-    w = 0.5 * (w + w[::-1])
+    if a == b:
+        x = 0.5 * (x - x[::-1])
+        w = 0.5 * (w + w[::-1])
     x.setflags(write=False)
     w.setflags(write=False)
     return x, w
@@ -168,14 +181,15 @@ def panel_rule(
     return nodes.reshape(flat), weights.reshape(flat)
 
 
-def graded_boundaries(a: float, b, count: int, power: float = 2.0) -> np.ndarray:
-    """Panel boundaries on [a, b] clustered toward ``a`` by a power law.
+def origin_panel(b, nodes: int, exponent: float) -> tuple[np.ndarray, np.ndarray]:
+    """Rule for int_0^b f(r) dr when f(r) behaves like r^exponent at 0.
 
-    An array ``b`` of shape (...) gives one row of ``count + 1`` boundaries
-    per entry, shape (..., count + 1).
+    The Gauss-Jacobi rule for the weight (1 + x)^exponent, mapped to [0, b],
+    with its weights divided by that factor: sum(q * f(r)) then integrates
+    r^exponent g(r) for a smooth g as Gauss integrates g.  An array ``b`` of
+    shape (...) gives (nodes, weights) of shape (..., nodes), one rule per
+    entry.
     """
-    b = np.asarray(b, dtype=float)
-    if not np.all(b > a):
-        raise ValueError("need b > a")
-    t = np.linspace(0.0, 1.0, count + 1) ** power
-    return a + (b[..., None] - a) * t
+    x, w = gauss_jacobi(nodes, 0.0, exponent)
+    half = 0.5 * np.asarray(b, dtype=float)[..., None]
+    return half * (1.0 + x), half * w / (1.0 + x) ** exponent

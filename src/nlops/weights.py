@@ -9,18 +9,19 @@ operators, and the oscillatory Bessel multiplier
     mu_hat(xi) = |xi|^(-n/2) int_0^inf n r^(n/2-1) rhohat(r) J_{n/2}(2 pi r |xi|) dr.
 
 One radial rule serves all four: composite Gauss-Legendre panels split at
-the profile's breakpoints, with a power-law substitution taming an
-integrable singularity at the origin.  The multiplier's panels are in
-addition no wider than 1/(4 xi), so each sees at most a quarter period of
-the Bessel factor.  ``mu_hat`` takes one frequency or an array of them; it
-builds the rule per frequency and evaluates the Bessel factor of all of
-them together, MU_HAT_BLOCK radial nodes per ``bessel_j`` call, which
-removes the per-call overhead of one quadrature per frequency.
+the profile's breakpoints.  A profile singular at the origin like r^a,
+a < 0, takes a Gauss-Jacobi first panel (``quadrature.origin_panel``) whose
+weight is the factor r^(n-1+a) of the integrand.  The multiplier's panels
+are in addition no wider than 1/(4 xi), so each sees at most a quarter
+period of the Bessel factor.  ``mu_hat`` takes one frequency or an array of
+them; it builds the rule per frequency and evaluates the Bessel factor of
+all of them together, MU_HAT_BLOCK radial nodes per ``bessel_j`` call,
+which removes the per-call overhead of one quadrature per frequency.
 
 Shipped presets: ``fractional`` (indicator of the unit ball over |x|^(n-s),
-for n = 1, 2, 3 and s from 0.05, 0.1 and 0.2 up to 1), ``gaussian`` (|x|^2
-times a normal density), ``annulus`` (uniform on [eps, 2*eps], n=1), and a
-smooth compactly supported ``bump``.
+for n = 1, 2, 3 and s in [1e-3, 1)), ``gaussian`` (|x|^2 times a normal
+density), ``annulus`` (uniform on [eps, 2*eps], n=1), and a smooth
+compactly supported ``bump``.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from nlops.bessel import bessel_j, unit_ball_volume
-from nlops.quadrature import graded_boundaries, panel_rule
+from nlops.quadrature import origin_panel, panel_rule
 
 #: Unbounded supports are truncated where the declared analytic tail falls
 #: below this absolute threshold.
@@ -130,47 +131,28 @@ def _bisect_tail(w: RadialWeight, threshold: float) -> float:
     return hi
 
 
-def _substitution_beta(w: RadialWeight) -> float:
-    """Power-law substitution r = u^beta regularizing the radial integrand.
-
-    For a singular profile rhohat ~ r^a with a < 0, the radial integrand
-    n omega_n r^(n-1+a) transforms to ~ u^(beta*(n+a)-1).  Choosing
-    beta = k/(n+a) with the integer k = ceil(1+|a|) makes that exponent the
-    nonnegative integer k-1, so pure power profiles become polynomials in u
-    and Gauss-Legendre panels integrate them exactly.
-    """
-    a = w.singularity_exponent
-    if a >= 0.0:
-        return 1.0
-    k = int(np.ceil(1.0 + abs(a)))
-    return k / (w.n + a)
-
-
 def _panel_blocks(w: RadialWeight, lo: float, R: float, width: float, nodes_per_panel: int):
     """Yield the (nodes, weights) blocks of the radial rule for int_lo^R f(r) dr.
 
-    From the origin a singular profile gets the substituted block
-    (r = u^beta on 24 panels graded toward u = 0), which ends at the first
-    breakpoint or at ``width``, whichever comes first.  Each segment between
-    breakpoints then gets uniform panels no wider than min(width, R/32), at
-    least 8 of them, yielded at most MU_HAT_BLOCK // nodes_per_panel panels
-    per block, so no block holds more than MU_HAT_BLOCK nodes.
+    Each segment between breakpoints gets uniform Gauss-Legendre panels no
+    wider than min(width, R/32), at least 8 of them, yielded at most
+    MU_HAT_BLOCK // nodes_per_panel panels per block, so no block holds more
+    than MU_HAT_BLOCK nodes.  From the origin a singular profile
+    (rhohat ~ r^a, a < 0) takes ``origin_panel`` for its first panel, whose
+    Gauss-Jacobi rule integrates the factor r^(n-1+a) of f exactly.
     """
-    beta = _substitution_beta(w)
-    cuts = sorted(b for b in w.breakpoints if lo < b < R)
-    if lo == 0.0 and beta != 1.0:
-        lo = min(cuts[0] if cuts else R, width)
-        u_nodes, u_weights = panel_rule(graded_boundaries(0.0, lo ** (1.0 / beta), 24, 2.0), nodes_per_panel)
-        yield u_nodes**beta, u_weights * (beta * u_nodes ** (beta - 1.0))
-    points = [lo] + [b for b in cuts if b > lo] + [R]
+    points = [lo] + sorted({b for b in w.breakpoints if lo < b < R}) + [R]
     step = min(width, R / 32.0)
     panels = MU_HAT_BLOCK // nodes_per_panel
     for seg_lo, seg_hi in zip(points[:-1], points[1:]):
-        if seg_lo < seg_hi:
-            count = max(8, int(np.ceil((seg_hi - seg_lo) / step)))
-            edges = np.linspace(seg_lo, seg_hi, count + 1)
-            for k in range(0, count, panels):
-                yield panel_rule(edges[k : k + panels + 1], nodes_per_panel)
+        count = max(8, int(np.ceil((seg_hi - seg_lo) / step)))
+        edges = np.linspace(seg_lo, seg_hi, count + 1)
+        for k in range(0, count, panels):
+            nodes, weights = panel_rule(edges[k : k + panels + 1], nodes_per_panel)
+            if k == 0 and seg_lo == 0.0 and w.singularity_exponent < 0.0:
+                first = origin_panel(edges[1], nodes_per_panel, w.n - 1.0 + w.singularity_exponent)
+                nodes[:nodes_per_panel], weights[:nodes_per_panel] = first
+            yield nodes, weights
 
 
 def superposition_measure(w: RadialWeight, *, delta: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
@@ -181,8 +163,8 @@ def superposition_measure(w: RadialWeight, *, delta: float = 0.0) -> tuple[np.nd
     the quadrature tolerance (1e-8 relative for the shipped presets).  The
     radii are the nodes of the one radial rule that also gives the mass,
     ``tail``, the direct radial operator and, with panels no wider than
-    1/(4 xi), ``mu_hat``: panels split at the profile's breakpoints, with the
-    origin substitution when the profile is singular.
+    1/(4 xi), ``mu_hat``: panels split at the profile's breakpoints, with a
+    Gauss-Jacobi first panel at the origin when the profile is singular.
     """
     R = truncation_radius(w)
     if delta >= R:
@@ -405,35 +387,36 @@ def positivity_report(xi_grid, vals) -> PositivityReport:
 # Presets
 
 
-#: Smallest exponent s, per dimension n, that the radial rule resolves for
-#: ``fractional``.  Below it the substituted block's nodes r = u^beta fall
-#: under the profile's 1e-300 floor: r^(s-n) overflows there for n >= 2, and
-#: for n = 1 the mass below them (a share of about r^s) is lost.  A scan in
-#: steps of 0.001 found the mass within 1e-12 of n omega_n / s from 0.034,
-#: 0.094 and 0.185 on, and ``mu_hat`` up to xi = 1e4 finite, without a
-#: floating-point warning, from 0.049, 0.097 and 0.192 on.
-FRACTIONAL_MIN_S = {1: 0.05, 2: 0.1, 3: 0.2}
+#: Smallest exponent s that ``fractional`` accepts, in every dimension.  The
+#: profile's exponent s - n is a double, up to 2.2e-16 off, which moves the
+#: mass n omega_n / s by that much relative to s: 1.1e-13 at s = 1e-3 and
+#: 2.1e-12 at s = 1e-4.  The radial rule integrates the profile it is given
+#: to 1e-14 down to s = 1e-5.
+FRACTIONAL_MIN_S = 1e-3
 
 
 def fractional(n: int, s: float) -> RadialWeight:
     """Indicator of the unit ball over |x|^(n-s); mass n*omega_n/s.
 
-    Defined for n = 1, 2, 3 and s in [FRACTIONAL_MIN_S[n], 1), that is from
-    0.05, 0.1 and 0.2; a smaller s raises ValueError.
+    Defined for n = 1, 2, 3 and s in [FRACTIONAL_MIN_S, 1) = [1e-3, 1); a
+    smaller s raises ValueError.  The radial rule integrates the factor
+    r^(s-1) of r^(n-1) rhohat(r) on its Gauss-Jacobi origin panel, so its
+    nodes stay away from 0.  The normalized multiplier has the closed form
+    1F2(s/2; n/2 + 1, 1 + s/2; -pi^2 xi^2).
     """
     if not 0.0 < s < 1.0:
         raise ValueError("fractional exponent s must lie in (0, 1)")
-    if n not in FRACTIONAL_MIN_S:
+    if n not in (1, 2, 3):
         raise ValueError(f"fractional weights are defined for n in 1, 2, 3, got n = {n}")
-    if s < FRACTIONAL_MIN_S[n]:
+    if s < FRACTIONAL_MIN_S:
         raise ValueError(
-            f"fractional exponent s = {s:g} is below {FRACTIONAL_MIN_S[n]:g}, "
+            f"fractional exponent s = {s:g} is below {FRACTIONAL_MIN_S:g}, "
             f"the smallest the radial rule resolves for n = {n}"
         )
 
     def prof(r):
         r = np.asarray(r, float)
-        return np.where(r <= 1.0, np.power(np.maximum(r, 1e-300), s - n), 0.0)
+        return np.where(r <= 1.0, np.power(r, s - n), 0.0)
 
     return RadialWeight(
         n=n,

@@ -205,7 +205,7 @@ class TestExitStatuses:
             ("localize", "[field]\nterms = 32 | 1\n", "[field] terms"),
             ("localize", "[weight]\npreset = gaussian\nsigma = 0.3\n", "[weight] preset"),
             ("multiplier", "[weight]\npreset = bump\n", "[weight] n"),
-            ("multiplier", "[weight]\npreset = fractional\nn = 3\ns = 0.1\n", "s = 0.1 is below 0.2"),
+            ("multiplier", "[weight]\npreset = fractional\nn = 3\ns = 0.0005\n", "s = 0.0005 is below 0.001"),
             ("multiplier", "[weight]\npreset = annulus\nn = 2\n", "n = 2"),
         ],
         ids=[

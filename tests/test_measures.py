@@ -43,7 +43,7 @@ from nlops.measures import (
     trig_bv,
     zero_measure,
 )
-from nlops.quadrature import graded_boundaries, panel_rule
+from nlops.quadrature import origin_panel, panel_rule
 from nlops.weights import annulus, bump, fractional, normalize, truncation_radius
 
 
@@ -67,8 +67,7 @@ def reference_ball_integral_2d(mu, s, x):
 def reference_boundaries(mu, w, x, R):
     """One probe's panel split points, built point by point in a set: the
     shared points, the atom distances and jump crossings in (0, R) (a
-    65-point overlay past 64 crossings), the 1e-14 dedupe, and for a
-    singular weight the cubic grading of the first panel."""
+    65-point overlay past 64 crossings), and the 1e-14 dedupe."""
     pts = {0.0, R}
     pts.update(float(b) for b in w.breakpoints if 0.0 < b < R)
     for loc, _ in mu.atoms:
@@ -81,10 +80,7 @@ def reference_boundaries(mu, w, x, R):
         pts.update(crossing if crossing.size <= 64 else np.linspace(0.0, R, 65)[1:-1])
     pts.update(np.linspace(0.0, R, 17))
     arr = np.array(sorted(pts))
-    arr = arr[np.concatenate([[True], np.diff(arr) > 1e-14])]
-    if w.singularity_exponent < 0.0:
-        arr = np.unique(np.concatenate([graded_boundaries(0.0, arr[1], 12, power=3.0), arr]))
-    return arr
+    return arr[np.concatenate([[True], np.diff(arr) > 1e-14])]
 
 
 class TestBallAverages:
@@ -191,7 +187,7 @@ def _two_atoms_on(half_width, cells):
 #: on a density; the cos(pi t) carrier, whose probes see more than 64 jump
 #: crossings at eps = 0.2 and fewer at eps = 0.025; steps with seven jumps,
 #: and none; an alternating density whose probes see 64 or 65; and a
-#: singular weight, whose first panel is graded
+#: singular weight, whose first panel is the Gauss-Jacobi origin panel
 STACKS = {
     "sign": (
         sign_measure,
@@ -220,7 +216,7 @@ STACKS = {
         lambda: annulus(0.1625),
         np.linspace(-0.5, 0.5, 157),
     ),
-    "graded": (
+    "singular": (
         lambda: _two_atoms_on(3.0, 600),
         lambda: normalize(fractional(1, 0.5)),
         np.linspace(-0.7, 0.7, 41),
@@ -240,7 +236,10 @@ class TestProbeStacks:
         want = []
         for t in probes:
             x = np.array([t])
-            nodes, wts = panel_rule(_radial_boundaries(mu, w, x, R), 8)
+            bounds = _radial_boundaries(mu, w, x, R)
+            nodes, wts = panel_rule(bounds, 8)
+            if w.singularity_exponent < 0.0:
+                nodes[:8], wts[:8] = origin_panel(bounds[1], 8, mu.n - 1.0 + w.singularity_exponent)
             front = mu.n * unit_ball_volume(mu.n) * nodes ** (mu.n - 1) * w.profile(nodes)
             want.append(np.einsum("k,k,kd->d", wts, front, _ball_average(mu, x, nodes, extend=False)))
         assert np.array_equal(radial_of_measure(mu, w, probes[:, None]), np.stack(want))
@@ -324,6 +323,15 @@ class TestRadialOfMeasure:
             for t in (-0.8 * eps, 0.25 * eps, 0.6 * eps):
                 want = (t / eps) * log(2.0)
                 assert abs(radial_of_measure(mu, w, t)[0] - want) < 1e-8
+
+    @pytest.mark.parametrize("s", [0.9, 0.5, 0.2, 0.05])
+    def test_fractional_closed_form_for_sign_measure(self, s):
+        # the normalized weight is the measure s r^(s-1) dr on (0, 1], and the
+        # ball average of sign at 0 < x < 1 is 1 for r < x and x / r past it,
+        # so the operator is x^s + s x (x^(s-1) - 1) / (1 - s)
+        x = np.linspace(0.013, 0.9, 40)
+        got = radial_of_measure(sign_measure(), normalize(fractional(1, s)), x[:, None])[:, 0]
+        assert np.abs(got - (x**s + s * x * (x ** (s - 1.0) - 1.0) / (1.0 - s))).max() < 1e-6
 
     def test_beyond_double_scale_recovers_sign(self):
         mu = sign_measure()

@@ -62,12 +62,22 @@ def fresnel_fractional_mu(xi):
 class TestMasses:
     def test_fractional_mass_closed_form(self):
         # n omega_n / s, from the smallest exponent the rule resolves on
-        for n, bound in FRACTIONAL_MIN_S.items():
-            for s in np.round(np.arange(bound, 0.995, 0.01), 2):
+        for n in (1, 2, 3):
+            for s in [FRACTIONAL_MIN_S, *np.round(np.arange(0.01, 0.995, 0.01), 2)]:
                 w = fractional(n, s)
                 expected = n * unit_ball_volume(n) / s
                 assert abs(w.mass - expected) < 1e-12 * expected
-            assert np.all(np.isfinite(mu_hat(fractional(n, bound), np.array([0.3, 10.0, 1000.0]))))
+            assert np.all(np.isfinite(mu_hat(fractional(n, FRACTIONAL_MIN_S), np.array([0.3, 10.0, 1000.0]))))
+
+    def test_singular_profile_without_preset_mass(self):
+        # r^-1.5 on the unit disc: 2 pi int_0^1 r^-0.5 dr = 4 pi
+        w = RadialWeight(
+            n=2,
+            profile=lambda r: np.where(r <= 1.0, np.asarray(r, float) ** -1.5, 0.0),
+            support_radius=1.0,
+            singularity_exponent=-1.5,
+        )
+        assert abs(w.mass - 4.0 * pi) < 1e-12
 
     def test_gaussian_mass_is_sigma_squared_in_1d(self):
         for sigma in (0.5, 1.0, 1.7):
@@ -159,9 +169,9 @@ class TestMuHat:
         assert abs(mu_hat(annulus(eps), xi) - si_annulus_mu(eps, xi)) < 1e-12
 
     def test_panels_follow_the_oscillation(self):
-        # the radial rule's panels, the substituted block's included, are no
-        # wider than 1/(4 xi) here: with the mass's panels these values are
-        # off by 1e-4 to 1e-3
+        # the radial rule's panels, the origin panel included, are no wider
+        # than 1/(4 xi) here: with the mass's panels the Gaussian value is
+        # off by 1.1e-4
         xi = 50.0
         # the closed form exp(-2 pi^2 xi^2) underflows to 0
         assert abs(mu_hat(normalize(gaussian_modification(1, 1.0)), xi)) < 1e-14
@@ -169,9 +179,10 @@ class TestMuHat:
         assert abs(mu_hat(fractional(1, 0.5), xi) - ref) < 1e-14 * ref
 
     def test_split_segment_keeps_the_accuracy(self):
-        # at xi = 200 the segment (1/(4 xi), 1] has 799 panels, more than the
+        # at xi = 200 the segment [0, 1] has 800 panels, more than the
         # MU_HAT_BLOCK // PANEL_NODES = 512 of one block, so it is split; the
-        # value stays 2e-16 (relative) from the closed form, as at xi = 50
+        # value stays within 6e-16 (relative) of the closed form, 4e-16 at
+        # xi = 50
         xi = 200.0
         assert 4 * xi > MU_HAT_BLOCK // PANEL_NODES
         ref = fresnel_fractional_mu(xi)
@@ -188,6 +199,17 @@ class TestMuHat:
         finally:
             tracemalloc.stop()
         assert peak < 32e6
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("s", [0.9, 0.5, 0.05, 0.001])
+    def test_fractional_against_hypergeometric_closed_form(self, n, s):
+        # the normalized multiplier of fractional(n, s) is
+        # 1F2(s/2; n/2 + 1, 1 + s/2; -pi^2 xi^2)
+        xi = np.array([0.3, 1.0, 5.0, 50.0, 500.0])
+        got = mu_hat(normalize(fractional(n, s)), xi)
+        with mp.workdps(30):
+            want = [float(mp.hyp1f2(s / 2, n / 2 + 1, 1 + s / 2, -((mp.pi * x) ** 2))) for x in xi]
+        assert np.abs(got - want).max() < 1e-14
 
     def test_annulus_localization_values_frozen(self):
         # 1 - mu_hat at unit frequency, and the halving ratio, computed from
@@ -400,9 +422,9 @@ class TestValidation:
             fractional(1, 0.0)
         with pytest.raises(ValueError):
             fractional(1, 1.0)
-        for n, bound in FRACTIONAL_MIN_S.items():
-            with pytest.raises(ValueError, match=f"s = {bound - 0.001:g} .* n = {n}"):
-                WEIGHT_PRESETS["fractional"](n=n, s=bound - 0.001)
+        for n in (1, 2, 3):
+            with pytest.raises(ValueError, match=f"s = {FRACTIONAL_MIN_S / 2:g} .* n = {n}"):
+                WEIGHT_PRESETS["fractional"](n=n, s=FRACTIONAL_MIN_S / 2)
         with pytest.raises(ValueError, match="n = 4"):
             fractional(4, 0.5)
 
