@@ -296,13 +296,11 @@ def cmd_bessel(cfg: ExperimentConfig, rng) -> tuple:
 def cmd_zeros(cfg: ExperimentConfig, rng) -> tuple:
     alpha = _setting(cfg, "zeros", "alpha", 0.5, ORDER)
     count = _setting(cfg, "zeros", "count", 5, COUNT)
-    rows = []
-    worst = 0.0
-    for k in range(1, count + 1):
-        z = bessel_zero(alpha, k)
-        resid = abs(float(bessel_j(alpha, z)))
-        worst = max(worst, resid)
-        rows.append((k, z, resid))
+    ks = np.arange(1, count + 1)
+    zeros = bessel_zero(alpha, ks)
+    resid = np.abs(bessel_j(alpha, zeros))
+    worst = float(np.max(resid))
+    rows = list(zip(ks, zeros, resid))
     return worst < 1e-10, f"worst residual {worst:.3e}", ["k", "zero", "residual"], rows, [("alpha", alpha)]
 
 

@@ -497,54 +497,30 @@ def kernel_check_torus(op: FirstOrderOperator, s: float, max_degree: int = 8) ->
     """
     if s <= 0:
         raise ValueError("scale s must be positive")
-    half = op.n / 2.0
     mvecs = [
         mvec
         for mvec in itertools.product(range(-max_degree, max_degree + 1), repeat=op.n)
         if any(mvec)
     ]
-    ranks = wave_ranks(op, np.array(mvecs, dtype=float))
-    # one scalar Bessel call per distinct |m|^2
-    j_of_square = {}
-    lines = []
-    flagged = []
-    gray = []
-    for mvec, rank in zip(mvecs, ranks):
-        square = sum(x * x for x in mvec)
-        norm = sqrt(square)
-        if square not in j_of_square:
-            j_of_square[square] = float(bessel_j(half, 2.0 * pi * s * norm))
-        j = j_of_square[square]
-        if abs(j) < KERNEL_ZERO_TOL:
-            flag = "zero"
-            flagged.append(mvec)
-        elif abs(j) < KERNEL_GRAY_TOL:
-            flag = "inconclusive"
-            gray.append(mvec)
-        else:
-            flag = "nonzero"
-        lines.append(
-            KernelLine(
-                m=mvec,
-                m_norm=norm,
-                symbol_rank=int(rank),
-                j_value=j,
-                j_error=BESSEL_EVAL_ERR,
-                flag=flag,
-            )
-        )
+    m = np.array(mvecs, dtype=float).reshape(-1, op.n)
+    ranks = wave_ranks(op, m)
+    norms = np.sqrt(np.sum(m * m, axis=1))
+    j = bessel_j(op.n / 2.0, 2.0 * pi * s * norms)
+    zero = np.abs(j) < KERNEL_ZERO_TOL
+    gray = ~zero & (np.abs(j) < KERNEL_GRAY_TOL)
+    lines = tuple(
+        KernelLine(mvec, norm, rank, jm, BESSEL_EVAL_ERR, "zero" if z else "inconclusive" if g else "nonzero")
+        for mvec, norm, rank, jm, z, g in zip(mvecs, norms.tolist(), ranks.tolist(), j.tolist(), zero, gray)
+    )
+    flagged = tuple(itertools.compress(mvecs, zero))
+    inconclusive = tuple(itertools.compress(mvecs, gray))
     if flagged:
         verdict = f"kernel frequencies found: {len(flagged)} of {len(lines)} scanned"
-    elif gray:
+    elif inconclusive:
         verdict = "no kernel frequencies at tolerance; some values inconclusive"
     else:
         verdict = "no kernel frequencies up to the scanned degree"
-    return KernelScan(
-        lines=tuple(lines),
-        flagged=tuple(flagged),
-        inconclusive=tuple(gray),
-        verdict=verdict,
-    )
+    return KernelScan(lines=lines, flagged=flagged, inconclusive=inconclusive, verdict=verdict)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,8 @@ are in addition no wider than 1/(4 xi), so each sees at most a quarter
 period of the Bessel factor.  ``mu_hat`` takes one frequency or an array of
 them; it builds the rule per frequency and evaluates the Bessel factor of
 all of them together, MU_HAT_BLOCK radial nodes per ``bessel_j`` call,
-which removes the per-call overhead of one quadrature per frequency.
+which removes the per-call overhead of one quadrature per frequency and
+leaves each value as it would be alone.
 
 Shipped presets: ``fractional`` (indicator of the unit ball over |x|^(n-s),
 for n = 1, 2, 3 and s in [1e-3, 1)), ``gaussian`` (|x|^2 times a normal
@@ -277,6 +278,8 @@ def mu_hat(w: RadialWeight, xi_norm):
     period of the Bessel oscillation.  The panel blocks of all the
     given frequencies are evaluated together, MU_HAT_BLOCK radial nodes per
     ``bessel_j`` call; a scalar is a one-element array and returns a float.
+    Each value depends on its own frequency alone: ``mu_hat(w, xis)[i] ==
+    mu_hat(w, xis[i])`` bit for bit.
     """
     xi = np.asarray(xi_norm, dtype=float)
     out = _multiplier(w, xi, PANEL_NODES)

@@ -1,5 +1,7 @@
 """Bessel evaluator checked against scipy.special as an independent oracle."""
 
+from math import pi
+
 import numpy as np
 import pytest
 from scipy.special import jn_zeros, jv
@@ -113,6 +115,103 @@ def test_zero_residuals_small():
         for k in (1, 3, 7):
             z = bessel_zero(alpha, k)
             assert abs(bessel_j(alpha, z)) < 1e-11
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.3, 0.5, 1.0, 1.5, 2.0, 2.7, 5.0])
+def test_each_value_depends_on_its_own_argument_alone(alpha):
+    # an array call returns each point's scalar value bit for bit, whatever
+    # else the array holds: the whole pool (points within 1e-14 of zeros, on
+    # the branch edges 8, 2 alpha and 30 + alpha^2, and across every branch)
+    # and random subsets of 1 to 300 of its points
+    rng = np.random.default_rng(int(10 * alpha))
+    edges = np.array([8.0, 2.0 * alpha, 30.0 + alpha**2])
+    near_zeros = np.array([bessel_zero(alpha, k) for k in range(1, 13)])
+    pool = np.concatenate(
+        [
+            edges,
+            np.nextafter(edges, 0.0),
+            np.nextafter(edges, 1e3),
+            near_zeros + rng.uniform(-1e-14, 1e-14, 12),
+            rng.uniform(0.0, 60.0, 300),
+            rng.uniform(0.0, 1e3, 300),
+        ]
+    )
+    want = np.array([bessel_j(alpha, x) for x in pool])
+    for size in [pool.size, *rng.integers(1, 301, size=8)]:
+        pick = rng.permutation(pool.size)[:size]
+        assert np.array_equal(bessel_j(alpha, pool[pick]), want[pick])
+
+
+def test_hankel_sums_stop_per_point():
+    # at alpha = 0.3 the point 30.1, near the Hankel edge, needs more terms
+    # than the two others; their sums must not take those extra terms, which
+    # move their last bits
+    t = np.array([30.1, 43.68262034980364, 34.35725444657504])
+    assert bessel_j(0.3, t).tolist() == [bessel_j(0.3, x) for x in t]
+
+
+def scalar_zero_walk(alpha, k):
+    """The k-th zero by one scalar Bessel call per grid point and bisection
+    step: a sign-change walk from max(alpha, 1) in steps of pi/4."""
+    step = pi / 4.0
+    lo = max(alpha, 1.0)
+    found = 0
+    f_lo = bessel_j(alpha, lo)
+    while True:
+        hi = lo + step
+        f_hi = bessel_j(alpha, hi)
+        if f_lo == 0.0:
+            found += 1
+            if found == k:
+                return lo
+        elif f_lo * f_hi < 0.0:
+            found += 1
+            if found == k:
+                left, right, f_left = lo, hi, f_lo
+                for _ in range(100):
+                    mid = 0.5 * (left + right)
+                    f_mid = bessel_j(alpha, mid)
+                    if f_mid == 0.0:
+                        return mid
+                    if f_left * f_mid < 0.0:
+                        right = mid
+                    else:
+                        left, f_left = mid, f_mid
+                    if right - left < 1e-13:
+                        break
+                return 0.5 * (left + right)
+        lo, f_lo = hi, f_hi
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.3, 0.5, 1.0, 2.5, 2.7, 3.7, 5.0])
+def test_zeros_match_the_scalar_walk_bit_for_bit(alpha):
+    ks = np.arange(1, 26)
+    got = bessel_zero(alpha, ks)
+    assert got.shape == ks.shape
+    assert got.tolist() == [scalar_zero_walk(alpha, int(k)) for k in ks]
+    assert [bessel_zero(alpha, int(k)) for k in (1, 9, 25)] == got[[0, 8, 24]].tolist()
+
+
+def test_zero_indices_keep_their_shape_and_order():
+    ks = np.array([[7, 1], [3, 3]])
+    got = bessel_zero(1.0, ks)
+    assert got.shape == (2, 2)
+    assert got[0, 0] == bessel_zero(1.0, 7) and got[1, 0] == got[1, 1] == bessel_zero(1.0, 3)
+    assert bessel_zero(1.0, np.array([], dtype=int)).shape == (0,)
+
+
+@pytest.mark.parametrize("k", [0, -2, 1.5, np.array([1, 0]), np.array([1.0, 2.0])])
+def test_bad_zero_indices_rejected(k):
+    with pytest.raises(ValueError, match="integer >= 1"):
+        bessel_zero(1.0, k)
+
+
+@pytest.mark.parametrize("alpha", [0, 1, 2, 5])
+def test_two_thousand_zeros_match_scipy(alpha):
+    # the pi/4 grid is sized from McMahon's expansion of the zeros, so it
+    # reaches the 2000th zero at every order
+    got = bessel_zero(float(alpha), np.arange(1, 2001))
+    assert np.max(np.abs(got - jn_zeros(alpha, 2000))) < 1.1e-10
 
 
 def test_unit_ball_volumes():

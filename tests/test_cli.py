@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -423,6 +424,26 @@ class TestExitStatuses:
         assert run(tmp_path, subcommand, "--config", cfg) == 1
         assert capsys.readouterr().err.startswith(f"ERROR {subcommand}: ")
         assert not list(tmp_path.glob("*.csv"))
+
+
+def test_annulus_preset_multiplier(tmp_path, capsys):
+    cfg = write_config(tmp_path, "[weight]\npreset = annulus\n")
+    assert run(tmp_path, "multiplier", "--config", cfg) == 0
+    assert capsys.readouterr().out.startswith("PASS multiplier: positivity certificate on grid")
+    body = (tmp_path / "multiplier.csv").read_text()
+    assert "# weight = annulus/normalized" in body
+    assert body.splitlines()[-1].startswith("1.2000000000000000e+00,")
+
+
+@pytest.mark.parametrize("alpha", ["0.5", "1", "2.5", "5"])
+def test_two_thousand_zeros_in_one_pass(tmp_path, alpha):
+    # one bracket grid and one bisection sweep: linear in count
+    cfg = write_config(tmp_path, f"[zeros]\nalpha = {alpha}\ncount = 2000\n")
+    start = time.perf_counter()
+    assert run(tmp_path, "zeros", "--config", cfg) == 0
+    assert time.perf_counter() - start < 5.0
+    rows = (tmp_path / "zeros.csv").read_text().splitlines()[-2000:]
+    assert [int(row.split(",")[0]) for row in rows] == list(range(1, 2001))
 
 
 class TestCsvFormat:

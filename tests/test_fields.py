@@ -714,6 +714,16 @@ class TestKernelScan:
         with pytest.raises(ValueError):
             kernel_check_torus(D1, 0.0)
 
+    def test_near_kernel_scale_is_inconclusive(self):
+        # just off s = 1/2, |J_{1/2}(2 pi s m)| is 2.8e-6 to 5.7e-6: above the
+        # zero tolerance, below the gray one
+        scan = kernel_check_torus(scalar_derivative(), 0.5 + 1e-6, 4)
+        assert scan.flagged == ()
+        assert set(scan.inconclusive) == {(m,) for m in range(-4, 5) if m}
+        assert {line.flag for line in scan.lines} == {"inconclusive"}
+        assert all(2e-6 < abs(line.j_value) < 6e-6 for line in scan.lines)
+        assert scan.verdict == "no kernel frequencies at tolerance; some values inconclusive"
+
     @pytest.mark.parametrize(
         "op,s,degree",
         [(D1, 0.5, 6), (gradient(2), 0.37, 5), (divergence(2), 1.0, 4), (curl3(), 0.5, 3), (curl3(), 0.123, 3)],

@@ -168,6 +168,19 @@ class TestMuHat:
     def test_annulus_against_sine_integral(self, eps, xi):
         assert abs(mu_hat(annulus(eps), xi) - si_annulus_mu(eps, xi)) < 1e-12
 
+    @pytest.mark.parametrize(
+        "w",
+        [normalize(bump(n)) for n in (1, 2, 3)]
+        + [normalize(gaussian_modification(n, 1.0)) for n in (1, 2, 3)]
+        + [annulus(0.1)],
+        ids=["bump1", "bump2", "bump3", "gaussian1", "gaussian2", "gaussian3", "annulus"],
+    )
+    def test_each_value_depends_on_its_own_frequency_alone(self, w):
+        # the frequencies share Bessel calls, but each value is its scalar
+        # call's, bit for bit
+        xis = np.random.default_rng(w.n).permutation(np.concatenate([[0.0], np.linspace(0.05, 40.0, 79)]))
+        assert mu_hat(w, xis).tolist() == [mu_hat(w, xi) for xi in xis]
+
     def test_panels_follow_the_oscillation(self):
         # the radial rule's panels, the origin panel included, are no wider
         # than 1/(4 xi) here: with the mass's panels the Gaussian value is
@@ -402,6 +415,21 @@ class TestFamilies:
             member = fam(eps)
             assert abs(member.mass - 1.0) < 1e-10
             assert abs(truncation_radius(member) - 0.3 * eps) < 1e-15
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_rescaled_unbounded_family(self, n):
+        # the members of an unbounded base carry its tail bound, rescaled;
+        # their truncation radius and tails come from it
+        fam = rescaled_family(gaussian_modification(n, 1.0))
+        members = [fam(eps) for eps in (0.4, 0.2, 0.1, 0.05)]
+        for member in members:
+            assert abs(member.mass - 1.0) < 1e-8
+        for delta in (0.5, 1.0):
+            tails = [tail(member, delta) for member in members]
+            bounds = [member.tail_bound(delta) for member in members]
+            assert tails[0] > tails[1] > tails[2] >= tails[3] == 0.0
+            assert bounds[0] > bounds[1] > bounds[2] > bounds[3]
+            assert bounds[3] < 1e-20
 
     def test_family_rejects_nonpositive_eps(self):
         with pytest.raises(ValueError):
