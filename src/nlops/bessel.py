@@ -182,7 +182,9 @@ def bessel_zero(alpha, k):
     returns an array of the same shape; each zero depends on its own index
     alone.  Brackets sign changes on a grid starting at max(alpha, 1) with
     step pi/4, summed one step at a time (zeros of J_alpha are spaced ~pi
-    and the first exceeds alpha), then bisects every bracket together.  The
+    and the first exceeds alpha), then bisects every bracket together.  A
+    bracket stops once it is narrower than 1e-13 or its midpoint rounds to
+    one of its ends (a zero above 512 is never bracketed that narrowly).  The
     grid reaches (k + alpha/2 + 3/4) pi, past the k-th zero: by McMahon's
     expansion (k + alpha/2 - 1/4) pi - (4 alpha^2 - 1) / (8 (k + alpha/2 -
     1/4) pi) + ... (DLMF 10.21(vi)) it lies below (k + alpha/2) pi for
@@ -204,9 +206,12 @@ def bessel_zero(alpha, k):
     right[f_left == 0.0] = left[f_left == 0.0]
     live = np.flatnonzero(right - left >= 1e-13)
     for _ in range(100):
+        mid = 0.5 * (left[live] + right[live])
+        # a midpoint on an end of its bracket would leave the bracket as it is
+        moves = (left[live] < mid) & (mid < right[live])
+        live, mid = live[moves], mid[moves]
         if not live.size:
             break
-        mid = 0.5 * (left[live] + right[live])
         f_mid = bessel_j(a, mid)
         down = f_left[live] * f_mid < 0.0
         # J vanishing at the midpoint closes the bracket on it

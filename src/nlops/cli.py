@@ -243,14 +243,6 @@ def build_fields(cfg: ExperimentConfig, op: operators.FirstOrderOperator, rng) -
 # CSV output
 
 
-def _fmt(x) -> str:
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if isinstance(x, str):
-        return x
-    return f"{float(x):.16e}"
-
-
 def write_csv(path: Path, subcommand: str, cfg: ExperimentConfig, header, rows, extra_meta=()):
     """Write the artifact, after checking that the subcommand read every INI key."""
     unread = [f"[{sec}] {key}" for sec in sorted(cfg.sections) for key in cfg.sections[sec] if (sec, key) not in cfg.read]
@@ -264,8 +256,11 @@ def write_csv(path: Path, subcommand: str, cfg: ExperimentConfig, header, rows, 
     for key in sorted(cfg.sections.get("tolerance", {})):
         lines.append(f"# tolerance {key} = {cfg.tolerance(key)}")
     lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_fmt(x) for x in row))
+    if rows:
+        # one template per artifact, typed by the first row: floats (numpy's
+        # too) to 17 significant digits, everything else as str() gives it
+        template = ",".join("%.16e" if isinstance(x, float) else "%s" for x in rows[0])
+        lines.extend(template % tuple(row) for row in rows)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n")
 
@@ -287,7 +282,8 @@ def cmd_bessel(cfg: ExperimentConfig, rng) -> tuple:
     tol = cfg.tolerance("bessel_half")
     ok, summary = True, f"{len(rows)} values of J_{alpha:g} written"
     if alpha == 0.5:
-        closed = np.sqrt(2.0 / (pi * t)) * np.sin(t)
+        # sqrt(2/(pi t)) sin t, written with sinc so that t = 0 stays finite
+        closed = np.sqrt(2.0 * t / pi) * np.sinc(t / pi)
         worst = float(np.max(np.abs(vals - closed)))
         ok, summary = worst < tol, f"max deviation from the half-order closed form {worst:.3e}"
     return ok, summary, ["t", "j_alpha"], rows, [("alpha", alpha)]
@@ -326,7 +322,7 @@ def cmd_multiplier(cfg: ExperimentConfig, rng) -> tuple:
         f"{report.verdict}; min {report.min_value:.6e} at xi={report.argmin_xi:g}; "
         f"sup |mu_hat| {sup:.6e} vs mass {w.mass:.6e}"
     )
-    meta = [("weight", w.name), ("mass", _fmt(w.mass)), ("positivity", report.verdict)]
+    meta = [("weight", w.name), ("mass", f"{w.mass:.16e}"), ("positivity", report.verdict)]
     return sup <= bound, summary, ["xi", "mu_hat", "est_error"], list(zip(grid, vals, errs)), meta
 
 
@@ -356,10 +352,9 @@ def cmd_kernel_check(cfg: ExperimentConfig, rng) -> tuple:
     s = _setting(cfg, "kernel", "s", 0.5, POSITIVE)
     max_degree = _setting(cfg, "kernel", "max_degree", 4, COUNT)
     scan = fields.kernel_check_torus(op, s, max_degree)
-    rows = [
-        (" ".join(str(x) for x in line.m), line.m_norm, line.symbol_rank, line.j_value, line.j_error, line.flag)
-        for line in scan.lines
-    ]
+    m_text = [" ".join(map(str, mvec)) for mvec in scan.m.tolist()]
+    columns = (scan.m_norm.tolist(), scan.symbol_rank.tolist(), scan.j_value.tolist())
+    rows = list(zip(m_text, *columns, [fields.BESSEL_EVAL_ERR] * len(m_text), scan.flag))
     flagged = ", ".join("(" + " ".join(str(x) for x in m) + ")" for m in scan.flagged[:8])
     more = "" if len(scan.flagged) <= 8 else f" and {len(scan.flagged) - 8} more"
     summary = scan.verdict + (f"; flagged {flagged}{more}" if flagged else "")
@@ -411,7 +406,7 @@ def cmd_counterexample_linf(cfg: ExperimentConfig, rng) -> tuple:
         ok = ok and gap >= floor
     worst = min(g for _, g in rows)
     summary = f"min gap {worst:.9f} vs uniform floor 1 - ln 2 = {1.0 - log(2.0):.9f}"
-    return ok, summary, ["eps", "linf_gap"], rows, [("floor", _fmt(floor))]
+    return ok, summary, ["eps", "linf_gap"], rows, [("floor", f"{floor:.16e}")]
 
 
 def cmd_gauss_green(cfg: ExperimentConfig, rng) -> tuple:

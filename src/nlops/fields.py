@@ -24,7 +24,6 @@ agree to rounding.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from math import pi, sqrt
 from typing import Callable, Optional, Sequence
@@ -36,8 +35,8 @@ from nlops.operators import FirstOrderOperator, symbol, wave_rank, wave_ranks
 from nlops.quadrature import sphere_quadrature, sphere_surface
 from nlops.weights import RadialWeight, mu_hat, superposition_measure
 
-#: Bessel evaluations are accurate to a few 1e-14; a conservative error bar
-#: used when classifying near-zero values in kernel scans.
+#: Bessel evaluations are accurate to a few 1e-14; a conservative error bar,
+#: the j_error column of every kernel-check artifact.
 BESSEL_EVAL_ERR = 5e-13
 
 #: |J_{n/2}| below this flags a sphere-scale kernel frequency.
@@ -467,21 +466,17 @@ def localization_table(
     return rows
 
 
-@dataclass(frozen=True)
-class KernelLine:
-    """One frequency row of a sphere-scale kernel scan."""
-
-    m: tuple[int, ...]
-    m_norm: float
-    symbol_rank: int
-    j_value: float
-    j_error: float
-    flag: str
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KernelScan:
-    lines: tuple[KernelLine, ...]
+    """A sphere-scale kernel scan, one column entry per frequency: ``m`` is
+    the (k, n) int array of frequencies and ``flag`` is "zero",
+    "inconclusive" or "nonzero"."""
+
+    m: np.ndarray
+    m_norm: np.ndarray
+    symbol_rank: np.ndarray
+    j_value: np.ndarray
+    flag: np.ndarray
     flagged: tuple[tuple[int, ...], ...]
     inconclusive: tuple[tuple[int, ...], ...]
     verdict: str
@@ -493,34 +488,27 @@ def kernel_check_torus(op: FirstOrderOperator, s: float, max_degree: int = 8) ->
     A plane wave e^(2 pi i m.x) v is annihilated when J_{n/2}(2 pi s |m|)
     vanishes (regardless of v, provided A(m) v != 0).  |J| below 1e-8 is
     flagged as a kernel frequency; values in [1e-8, 1e-4) are reported
-    inconclusive at double precision.
+    inconclusive at double precision.  The frequencies run in np.ndindex
+    order.
     """
     if s <= 0:
         raise ValueError("scale s must be positive")
-    mvecs = [
-        mvec
-        for mvec in itertools.product(range(-max_degree, max_degree + 1), repeat=op.n)
-        if any(mvec)
-    ]
-    m = np.array(mvecs, dtype=float).reshape(-1, op.n)
-    ranks = wave_ranks(op, m)
+    m = np.indices((2 * max_degree + 1,) * op.n).reshape(op.n, -1).T - max_degree
+    m = m[m.any(axis=1)]
     norms = np.sqrt(np.sum(m * m, axis=1))
     j = bessel_j(op.n / 2.0, 2.0 * pi * s * norms)
     zero = np.abs(j) < KERNEL_ZERO_TOL
     gray = ~zero & (np.abs(j) < KERNEL_GRAY_TOL)
-    lines = tuple(
-        KernelLine(mvec, norm, rank, jm, BESSEL_EVAL_ERR, "zero" if z else "inconclusive" if g else "nonzero")
-        for mvec, norm, rank, jm, z, g in zip(mvecs, norms.tolist(), ranks.tolist(), j.tolist(), zero, gray)
-    )
-    flagged = tuple(itertools.compress(mvecs, zero))
-    inconclusive = tuple(itertools.compress(mvecs, gray))
+    flagged = tuple(map(tuple, m[zero].tolist()))
+    inconclusive = tuple(map(tuple, m[gray].tolist()))
     if flagged:
-        verdict = f"kernel frequencies found: {len(flagged)} of {len(lines)} scanned"
+        verdict = f"kernel frequencies found: {len(flagged)} of {len(m)} scanned"
     elif inconclusive:
         verdict = "no kernel frequencies at tolerance; some values inconclusive"
     else:
         verdict = "no kernel frequencies up to the scanned degree"
-    return KernelScan(lines=lines, flagged=flagged, inconclusive=inconclusive, verdict=verdict)
+    flag = np.array(["nonzero", "inconclusive", "zero"], dtype=object)[2 * zero + gray]
+    return KernelScan(m, norms, wave_ranks(op, m), j, flag, flagged, inconclusive, verdict)
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import log, pi, sqrt
+from math import log, pi
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -581,7 +581,6 @@ class PiecewiseBV:
         for lo, hi, fn in self.pieces:
             if t < hi or hi == b:
                 return float(fn(np.asarray(t)))
-        raise AssertionError("unreachable")
 
     def jump(self, t: float) -> float:
         """One-sided limit difference f(t+) - f(t-) at an interior breakpoint."""
@@ -682,12 +681,8 @@ def atomic_divergence_demo(s: float = 1.0, probes: Optional[Sequence] = None) ->
         for h in (0.1, 0.01):
             probes.extend([(h, 0.0), (-h, 0.0), (0.0, h), (0.0, -h)])
         probes.append((10.0, 10.0))
-    rows = []
-    for p in probes:
-        x = np.asarray(p, dtype=float)
-        val = spherical_of_measure(mu, s, x)
-        inside = sum(
-            1 for loc, _ in mu.atoms if sqrt((loc[0] - x[0]) ** 2 + (loc[1] - x[1]) ** 2) < s
-        )
-        rows.append((tuple(float(c) for c in p), float(val[0]), inside))
-    return rows
+    x = np.asarray(probes, dtype=float)
+    vals = spherical_of_measure(mu, s, x)[:, 0]
+    locs = np.array([loc for loc, _ in mu.atoms])
+    inside = (np.sqrt(((locs - x[:, None, :]) ** 2).sum(axis=-1)) < s).sum(axis=-1)
+    return list(zip(map(tuple, x.tolist()), vals.tolist(), inside.tolist()))

@@ -372,16 +372,14 @@ def positivity_report(xi_grid, vals) -> PositivityReport:
     """Minimum and sign changes of multiplier values ``vals`` on a sorted grid."""
     xi_grid = _sorted_grid(xi_grid)
     vals = np.asarray(vals, dtype=float)
-    changes = []
-    for i in range(len(vals) - 1):
-        if vals[i] * vals[i + 1] < 0.0:
-            changes.append((float(xi_grid[i]), float(xi_grid[i + 1])))
+    at = np.flatnonzero(vals[:-1] * vals[1:] < 0.0)
+    changes = tuple(zip(xi_grid[at].tolist(), xi_grid[at + 1].tolist()))
     imin = int(np.argmin(vals))
     verdict = "positivity certificate on grid" if not changes and vals[imin] > 0 else "zero crossing detected"
     return PositivityReport(
         min_value=float(vals[imin]),
         argmin_xi=float(xi_grid[imin]),
-        sign_changes=tuple(changes),
+        sign_changes=changes,
         verdict=verdict,
     )
 

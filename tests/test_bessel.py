@@ -192,6 +192,22 @@ def test_zeros_match_the_scalar_walk_bit_for_bit(alpha):
     assert [bessel_zero(alpha, int(k)) for k in (1, 9, 25)] == got[[0, 8, 24]].tolist()
 
 
+def test_brackets_stop_once_the_midpoint_meets_an_end(monkeypatch):
+    # above 512 the float spacing exceeds 1e-13, so the width rule alone
+    # never stops a bracket there: one grid call and 44 bisection passes,
+    # where all 100 passes ran before, and no zero moves
+    calls = []
+
+    def counted(a, t):
+        calls.append(np.size(t))
+        return bessel_j(a, t)
+
+    monkeypatch.setattr("nlops.bessel.bessel_j", counted)
+    got = bessel_zero(1.0, np.arange(1, 2001))
+    assert len(calls) == 45
+    assert got[-1] == scalar_zero_walk(1.0, 2000)
+
+
 def test_zero_indices_keep_their_shape_and_order():
     ks = np.array([[7, 1], [3, 3]])
     got = bessel_zero(1.0, ks)

@@ -6,13 +6,14 @@ import re
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import nlops
-from nlops.cli import COMMANDS, ExperimentConfig, main, parse_terms
+from nlops.cli import COMMANDS, ExperimentConfig, main, parse_terms, write_csv
 from nlops.fields import localization_table, random_trig_field
 from nlops.operators import preset
 from nlops.weights import annulus_family
@@ -86,6 +87,18 @@ def test_cli_import_leaves_scipy_out():
     env = dict(os.environ, PYTHONPATH=str(Path(nlops.__file__).parents[1]))
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "argv,status", [(["zeros"], 0), (["witness", "--config", "s03.ini"], 1), (["zeros", "--threads", "0"], 2)]
+)
+def test_module_entry_point_passes_the_exit_status(tmp_path, argv, status):
+    # `python -m nlops.cli` is the path of the console script: main's status
+    # must reach the shell
+    (tmp_path / "s03.ini").write_text("[witness]\ns = 0.3\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(nlops.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-m", "nlops.cli", *argv], cwd=tmp_path, env=env, capture_output=True)
+    assert done.returncode == status
 
 
 class TestExitStatuses:
@@ -208,6 +221,13 @@ class TestExitStatuses:
             ("multiplier", "[weight]\npreset = bump\n", "[weight] n"),
             ("multiplier", "[weight]\npreset = fractional\nn = 3\ns = 0.0005\n", "s = 0.0005 is below 0.001"),
             ("multiplier", "[weight]\npreset = annulus\nn = 2\n", "n = 2"),
+            (
+                "localize",
+                "[operator]\npreset = gradient\nn = 2\n[weight]\npreset = annulus\n",
+                "localization family dimension does not match the operator",
+            ),
+            ("localize", "[field]\nterms = 1 0 | 1 ; 2 | 1\n", "[field] terms"),
+            ("localize", "[field]\nterms = ;\n", "[field] terms"),
         ],
         ids=[
             "num_terms-0",
@@ -223,13 +243,18 @@ class TestExitStatuses:
             "bump-without-n",
             "fractional-small-s",
             "annulus-n-2",
+            "localize-annulus-n-2",
+            "terms-wrong-length",
+            "terms-empty",
         ],
     )
     def test_bad_field_or_weight_is_config_error(self, tmp_path, capsys, subcommand, text, names):
         # a zero field must not pass vacuously, and a weight the preset
-        # rejects or lacks a required parameter of, a non-finite field
-        # coefficient or a field frequency on the Nyquist row (N = 64) is a
-        # configuration error, not a numerical failure
+        # rejects or lacks a required parameter of, a family of another
+        # dimension than the operator, a non-finite field coefficient, a
+        # field frequency on the Nyquist row (N = 64), a term of the wrong
+        # length or an empty term list is a configuration error, not a
+        # numerical failure
         cfg = write_config(tmp_path, text)
         assert run(tmp_path, subcommand, "--config", cfg) == 2
         err = capsys.readouterr().err
@@ -288,6 +313,26 @@ class TestExitStatuses:
         err = capsys.readouterr().err
         assert err.startswith("CONFIG ERROR")
         assert names in err
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize(
+        "subcommand,text,message",
+        [
+            ("kernel-check", "[operator]\npreset = curl\nn = 2\n", "curl preset is only defined for n=3"),
+            ("kernel-check", "[operator]\npreset = derivative\nn = 2\n", "derivative preset is only defined for n=1"),
+            (
+                "witness",
+                "[operator]\npreset = gradient\nn = 2\n[witness]\nm = 1 0 0\n",
+                "witness frequency (1, 0, 0) does not match operator dimension 2",
+            ),
+        ],
+        ids=["curl-n-2", "derivative-n-2", "witness-m-length"],
+    )
+    def test_dimension_mismatch_is_config_error(self, tmp_path, capsys, subcommand, text, message):
+        # an operator preset, or a witness frequency, of another dimension
+        cfg = write_config(tmp_path, text)
+        assert run(tmp_path, subcommand, "--config", cfg) == 2
+        assert capsys.readouterr().err.startswith(f"CONFIG ERROR: {message}")
         assert not list(tmp_path.glob("*.csv"))
 
     @pytest.mark.parametrize("eps_list", ["0.3", "0.25 0.1"])
@@ -435,6 +480,18 @@ def test_annulus_preset_multiplier(tmp_path, capsys):
     assert body.splitlines()[-1].startswith("1.2000000000000000e+00,")
 
 
+def test_half_order_check_from_zero(tmp_path, capsys):
+    # the closed form sqrt(2/(pi t)) sin t has a removable 0/0 at t = 0
+    cfg = write_config(tmp_path, "[bessel]\nt_min = 0\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(tmp_path, "bessel", "--config", cfg) == 0
+    assert caught == []
+    assert capsys.readouterr().out.startswith("PASS bessel: max deviation from the half-order closed form")
+    rows = [line for line in (tmp_path / "bessel.csv").read_text().splitlines() if not line.startswith("#")]
+    assert rows[1] == "0.0000000000000000e+00,0.0000000000000000e+00"
+
+
 @pytest.mark.parametrize("alpha", ["0.5", "1", "2.5", "5"])
 def test_two_thousand_zeros_in_one_pass(tmp_path, alpha):
     # one bracket grid and one bisection sweep: linear in count
@@ -471,6 +528,40 @@ class TestCsvFormat:
     def test_defaults_echoed_without_config(self, tmp_path):
         assert run(tmp_path, "zeros") == 0
         assert "# config config = <defaults>" in (tmp_path / "zeros.csv").read_text()
+
+
+def per_value_cell(x) -> str:
+    """The cell formatting of the per-value CSV writer that ``write_csv``'s
+    templates replaced: the reference for their bytes."""
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    if isinstance(x, str):
+        return x
+    return f"{float(x):.16e}"
+
+
+class TestCsvTemplate:
+    def written_rows(self, tmp_path, header, rows):
+        path = tmp_path / "table.csv"
+        write_csv(path, "test", ExperimentConfig(), header, rows)
+        return path.read_text().splitlines()[-len(rows) :]
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    @pytest.mark.parametrize("name", list(COMMANDS))
+    def test_rows_match_per_value_cells(self, tmp_path, name, seed):
+        _, _, header, rows, _ = COMMANDS[name](ExperimentConfig(), np.random.default_rng(seed))
+        want = [",".join(map(per_value_cell, row)) for row in rows]
+        assert self.written_rows(tmp_path, header, rows) == want
+
+    def test_mixed_cell_types(self, tmp_path):
+        rows = [
+            (3, np.int64(-7), 0.1, np.float64(2.5e-300), "zero"),
+            (0, np.int64(12), -0.0, np.float64(np.inf), "nonzero"),
+            (-1, np.int64(0), float("nan"), np.float64(-1e300), ""),
+        ]
+        want = [",".join(map(per_value_cell, row)) for row in rows]
+        assert self.written_rows(tmp_path, list("abcde"), rows) == want
+        assert want[0] == "3,-7,1.0000000000000001e-01,2.5000000000000000e-300,zero"
 
 
 class TestDeterminism:

@@ -706,9 +706,9 @@ class TestKernelScan:
     def test_two_dimensions_no_integer_zeros(self):
         scan = kernel_check_torus(gradient(2), 0.5, max_degree=3)
         assert scan.flagged == ()
-        line = next(l for l in scan.lines if l.m == (1, 0))
-        assert line.symbol_rank == 1
-        assert line.j_error > 0.0
+        row = scan.m.tolist().index([1, 0])
+        assert scan.symbol_rank[row] == 1
+        assert scan.flag[row] == "nonzero"
 
     def test_rejects_nonpositive_scale(self):
         with pytest.raises(ValueError):
@@ -720,8 +720,8 @@ class TestKernelScan:
         scan = kernel_check_torus(scalar_derivative(), 0.5 + 1e-6, 4)
         assert scan.flagged == ()
         assert set(scan.inconclusive) == {(m,) for m in range(-4, 5) if m}
-        assert {line.flag for line in scan.lines} == {"inconclusive"}
-        assert all(2e-6 < abs(line.j_value) < 6e-6 for line in scan.lines)
+        assert set(scan.flag) == {"inconclusive"}
+        assert np.all((2e-6 < np.abs(scan.j_value)) & (np.abs(scan.j_value) < 6e-6))
         assert scan.verdict == "no kernel frequencies at tolerance; some values inconclusive"
 
     @pytest.mark.parametrize(
@@ -739,7 +739,9 @@ class TestKernelScan:
                 j = float(bessel_j(op.n / 2.0, 2.0 * pi * s * norm))
                 want.append((mvec, norm, wave_rank(op, np.asarray(mvec, float)), j))
         scan = kernel_check_torus(op, s, degree)
-        assert [(l.m, l.m_norm, l.symbol_rank, l.j_value) for l in scan.lines] == want
+        assert scan.m.dtype.kind == "i" and scan.m.shape == (len(want), op.n)
+        columns = (scan.m.tolist(), scan.m_norm.tolist(), scan.symbol_rank.tolist(), scan.j_value.tolist())
+        assert list(zip(*columns)) == [(list(m), *rest) for m, *rest in want]
 
 
 class TestWitness:
