@@ -192,10 +192,13 @@ def test_zeros_match_the_scalar_walk_bit_for_bit(alpha):
     assert [bessel_zero(alpha, int(k)) for k in (1, 9, 25)] == got[[0, 8, 24]].tolist()
 
 
-def test_brackets_stop_once_the_midpoint_meets_an_end(monkeypatch):
+@pytest.mark.parametrize("alpha", [1.0, 5.0])
+def test_brackets_stop_once_the_midpoint_meets_an_end(monkeypatch, alpha):
     # above 512 the float spacing exceeds 1e-13, so the width rule alone
-    # never stops a bracket there: one grid call and 44 bisection passes,
-    # where all 100 passes ran before, and no zero moves
+    # never stops a bracket there and all 100 bisection passes run after
+    # the grid call; stopping where the midpoint rounds to an end moves no
+    # zero, from the first brackets above 512 (k = 161 at alpha = 5, 163 at
+    # alpha = 1) to the last
     calls = []
 
     def counted(a, t):
@@ -203,9 +206,11 @@ def test_brackets_stop_once_the_midpoint_meets_an_end(monkeypatch):
         return bessel_j(a, t)
 
     monkeypatch.setattr("nlops.bessel.bessel_j", counted)
-    got = bessel_zero(1.0, np.arange(1, 2001))
-    assert len(calls) == 45
-    assert got[-1] == scalar_zero_walk(1.0, 2000)
+    got = bessel_zero(alpha, np.arange(1, 2001))
+    monkeypatch.undo()
+    assert len(calls) < 101
+    for k in (161, 163, 700, 2000):
+        assert got[k - 1] == scalar_zero_walk(alpha, k)
 
 
 def test_zero_indices_keep_their_shape_and_order():

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import nlops
+from nlops import fields
 from nlops.cli import COMMANDS, ExperimentConfig, main, parse_terms, write_csv
 from nlops.fields import localization_table, random_trig_field
 from nlops.operators import preset
@@ -490,6 +491,25 @@ def test_half_order_check_from_zero(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("PASS bessel: max deviation from the half-order closed form")
     rows = [line for line in (tmp_path / "bessel.csv").read_text().splitlines() if not line.startswith("#")]
     assert rows[1] == "0.0000000000000000e+00,0.0000000000000000e+00"
+
+
+@pytest.mark.parametrize(
+    "text, flags",
+    [
+        # the default derivative scan at s = 1/2 flags every frequency
+        (None, {"zero"}),
+        ("[operator]\npreset = gradient\nn = 2\n[kernel]\ns = 1.0\nmax_degree = 6\n", {"nonzero"}),
+    ],
+    ids=["derivative", "gradient2"],
+)
+def test_kernel_check_bounds_every_bessel_value(tmp_path, text, flags):
+    argv = ["kernel-check"] + (["--config", write_config(tmp_path, text)] if text else [])
+    assert run(tmp_path, *argv) == 0
+    lines = [line for line in (tmp_path / "kernel_check.csv").read_text().splitlines() if not line.startswith("#")]
+    header, rows = lines[0].split(","), [line.split(",") for line in lines[1:]]
+    assert {row[header.index("flag")] for row in rows} == flags
+    assert fields.BESSEL_EVAL_ERR > 0.0
+    assert [row[header.index("j_error")] for row in rows] == [f"{fields.BESSEL_EVAL_ERR:.16e}"] * len(rows)
 
 
 @pytest.mark.parametrize("alpha", ["0.5", "1", "2.5", "5"])
