@@ -335,7 +335,8 @@ def radial_of_measure(mu: MeasureField, w: RadialWeight, x) -> np.ndarray:
     m = 8
     nodes = np.empty((len(probes), m * (bounds.shape[-1] - 1)))
     wts = np.zeros_like(nodes)
-    for k in np.unique(panels):
+    # a plain np.unique would import numpy.ma on its first call in a process
+    for k in np.flatnonzero(np.bincount(panels)):
         rows = panels == k
         nodes[rows, : m * k], wts[rows, : m * k] = panel_rule(bounds[rows, : k + 1], m)
         # past its own panels a row repeats its last node with weight 0,

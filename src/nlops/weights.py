@@ -8,16 +8,22 @@ operators, and the oscillatory Bessel multiplier
 
     mu_hat(xi) = |xi|^(-n/2) int_0^inf n r^(n/2-1) rhohat(r) J_{n/2}(2 pi r |xi|) dr.
 
-One radial rule serves all four: composite Gauss-Legendre panels split at
-the profile's breakpoints.  A profile singular at the origin like r^a,
-a < 0, takes a Gauss-Jacobi first panel (``quadrature.origin_panel``) whose
-weight is the factor r^(n-1+a) of the integrand.  The multiplier's panels
-are in addition no wider than 1/(4 xi), so each sees at most a quarter
-period of the Bessel factor.  ``mu_hat`` takes one frequency or an array of
-them; it builds the rule per frequency and evaluates the Bessel factor of
-all of them together, MU_HAT_BLOCK radial nodes per ``bessel_j`` call,
-which removes the per-call overhead of one quadrature per frequency and
-leaves each value as it would be alone.
+The mass, the tails and the superposition measure share one radial rule:
+composite Gauss-Legendre panels split at the profile's breakpoints.  A
+profile singular at the origin like r^a, a < 0, takes a Gauss-Jacobi first
+panel (``quadrature.origin_panel``) whose weight is the factor r^(n-1+a) of
+the integrand.  The multiplier substitutes t = 2 pi r xi and lays its panels
+on the lattice [j h, (j + 1) h], h = (pi/2) 2^-k, with the smallest k >= 0
+whose panels are no wider in r than R/32 and an eighth of the shortest
+segment between breakpoints.  They are never wider than 1/(4 xi) either, so
+each sees at most a quarter period of the Bessel factor.  Lattice panels
+are split where they hold a breakpoint's image or the end of the support,
+and a singular profile takes the origin panel on [0, h].  ``mu_hat`` takes
+one frequency or an array of them.  The frequencies of one call on the same
+lattice share the Bessel values of its whole panels, so a call costs the
+widest lattice of each k plus its split panels in Bessel values (11 824 for
+the normalized ``bump(2, 0.3)`` at 129 frequencies on [0, 89], where panels
+of their own took 126 448), and one profile value per frequency and node.
 
 Shipped presets: ``fractional`` (indicator of the unit ball over |x|^(n-s),
 for n = 1, 2, 3 and s in [1e-3, 1)), ``gaussian`` (|x|^2 times a normal
@@ -43,8 +49,8 @@ TAIL_CUTOFF = 1e-10
 #: Default Gauss-Legendre nodes per quadrature panel.
 PANEL_NODES = 16
 
-#: Radial nodes per ``bessel_j`` call when ``mu_hat`` evaluates an array of
-#: frequencies; bounds the Bessel work buffers, not the quadrature.
+#: Nodes per ``bessel_j`` call, and per integrand pass over frequencies and
+#: nodes, in ``mu_hat``; bounds its work buffers, not the quadrature.
 MU_HAT_BLOCK = 2**13
 
 
@@ -132,47 +138,35 @@ def _bisect_tail(w: RadialWeight, threshold: float) -> float:
     return hi
 
 
-def _panel_blocks(w: RadialWeight, lo: float, R: float, width: float, nodes_per_panel: int):
-    """Yield the (nodes, weights) blocks of the radial rule for int_lo^R f(r) dr.
-
-    Each segment between breakpoints gets uniform Gauss-Legendre panels no
-    wider than min(width, R/32), at least 8 of them, yielded at most
-    MU_HAT_BLOCK // nodes_per_panel panels per block, so no block holds more
-    than MU_HAT_BLOCK nodes.  From the origin a singular profile
-    (rhohat ~ r^a, a < 0) takes ``origin_panel`` for its first panel, whose
-    Gauss-Jacobi rule integrates the factor r^(n-1+a) of f exactly.
-    """
-    points = [lo] + sorted({b for b in w.breakpoints if lo < b < R}) + [R]
-    step = min(width, R / 32.0)
-    panels = MU_HAT_BLOCK // nodes_per_panel
-    for seg_lo, seg_hi in zip(points[:-1], points[1:]):
-        count = max(8, int(np.ceil((seg_hi - seg_lo) / step)))
-        edges = np.linspace(seg_lo, seg_hi, count + 1)
-        for k in range(0, count, panels):
-            nodes, weights = panel_rule(edges[k : k + panels + 1], nodes_per_panel)
-            if k == 0 and seg_lo == 0.0 and w.singularity_exponent < 0.0:
-                first = origin_panel(edges[1], nodes_per_panel, w.n - 1.0 + w.singularity_exponent)
-                nodes[:nodes_per_panel], weights[:nodes_per_panel] = first
-            yield nodes, weights
-
-
 def superposition_measure(w: RadialWeight, *, delta: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     """Discrete measure approximating n omega_n rhohat(r) r^(n-1) dr.
 
     Returns (radii, weights) on (delta, R], with R the ``TAIL_CUTOFF``
     truncation radius; the weights sum to the weight's mass there to within
     the quadrature tolerance (1e-8 relative for the shipped presets).  The
-    radii are the nodes of the one radial rule that also gives the mass,
-    ``tail``, the direct radial operator and, with panels no wider than
-    1/(4 xi), ``mu_hat``: panels split at the profile's breakpoints, with a
-    Gauss-Jacobi first panel at the origin when the profile is singular.
+    radii are the nodes of the radial rule that also gives the mass,
+    ``tail`` and the direct radial operator: each segment between
+    breakpoints gets uniform Gauss-Legendre panels no wider than R/32, at
+    least 8 of them, and from the origin a singular profile (rhohat ~ r^a,
+    a < 0) takes ``origin_panel`` for its first panel, whose Gauss-Jacobi
+    rule integrates the factor r^(n-1+a) of the integrand exactly.
     """
     R = truncation_radius(w)
     if delta >= R:
         return np.array([]), np.array([])
-    blocks = list(_panel_blocks(w, max(delta, 0.0), R, np.inf, PANEL_NODES))
-    r = np.concatenate([nodes for nodes, _ in blocks])
-    q = np.concatenate([weights for _, weights in blocks])
+    lo = max(delta, 0.0)
+    points = [lo] + sorted({b for b in w.breakpoints if lo < b < R}) + [R]
+    rules = []
+    for seg_lo, seg_hi in zip(points[:-1], points[1:]):
+        count = max(8, int(np.ceil((seg_hi - seg_lo) / (R / 32.0))))
+        edges = np.linspace(seg_lo, seg_hi, count + 1)
+        nodes, weights = panel_rule(edges, PANEL_NODES)
+        if seg_lo == 0.0 and w.singularity_exponent < 0.0:
+            first = origin_panel(edges[1], PANEL_NODES, w.n - 1.0 + w.singularity_exponent)
+            nodes[:PANEL_NODES], weights[:PANEL_NODES] = first
+        rules.append((nodes, weights))
+    r = np.concatenate([nodes for nodes, _ in rules])
+    q = np.concatenate([weights for _, weights in rules])
     return r, q * (unit_ball_volume(w.n) * w.n * r ** (w.n - 1) * w.profile(r))
 
 
@@ -223,39 +217,104 @@ def normalize(w: RadialWeight) -> RadialWeight:
 def _mu_hat_quad(w: RadialWeight, xis: np.ndarray, nodes_per_panel: int) -> np.ndarray:
     """Panel quadrature of the oscillatory multiplier integral at each xi > 0.
 
-    Consecutive panel blocks, across frequencies, share one integrand and
-    ``bessel_j`` evaluation of at most MU_HAT_BLOCK radial nodes.  Each
-    frequency's total is the sum of its per-block sums, in block order.
+    In t = 2 pi r xi the integral runs over [0, T], T = 2 pi R xi, on the
+    lattice panels [j h, (j + 1) h]; a panel that holds the image of a
+    breakpoint, or T, is split there and the part past T dropped.  The
+    nodes of whole lattice panels are the same numbers for every frequency
+    on the same lattice, so their Bessel values are evaluated once for all
+    of them; only split panels have nodes of their own.  These sources of
+    Bessel values, lattices first, go to ``bessel_j`` MU_HAT_BLOCK nodes per
+    call, and the integrand takes the (source, frequency) pairs that use
+    them MU_HAT_BLOCK nodes at a time.  A frequency sums each of its panels,
+    and then its panel sums in lattice order, so its value depends on it
+    alone.
     """
+    P = nodes_per_panel
     half = w.n / 2.0
     R = truncation_radius(w)
-    totals = [0.0] * len(xis)
-    blocks = (
-        (i, r, q) for i, xi in enumerate(xis) for r, q in _panel_blocks(w, 0.0, R, 1.0 / (4.0 * xi), nodes_per_panel)
-    )
-    for group in _node_groups(blocks):
-        r = np.concatenate([r for _, r, _ in group])
-        freq = np.concatenate([np.full(r.size, xis[i]) for i, r, _ in group])
-        vals = w.n * r ** (half - 1.0) * w.profile(r) * bessel_j(half, 2.0 * pi * r * freq)
-        offset = 0
-        for i, r, q in group:
-            totals[i] += float(np.sum(q * vals[offset : offset + r.size]))
-            offset += r.size
-    return np.array([total / xi**half for total, xi in zip(totals, xis)])
+    scale = 2.0 * pi * xis  # t = scale * r
+    inner = sorted({b for b in w.breakpoints if 0.0 < b < R})
+    # the lattice step is h = (pi/2) 2^-k with the smallest level k >= 0
+    # whose panels, h / (2 pi xi) = 2^-k / (4 xi) wide in r, are no wider
+    # than R/32 and an eighth of the shortest segment between breakpoints
+    shortest = min(np.diff([0.0] + inner + [R]))
+    level = np.maximum(0, 1 - np.frexp(xis * min(R / 8.0, shortest / 2.0))[1])
+    h = np.ldexp(pi / 2.0, -level)
+    end = scale * R
+    whole = np.floor(end / h).astype(np.intp)
+    # frequency i sums slots start[i] + j: j < whole[i] for its lattice
+    # panels, j = whole[i] for the panel cut at T
+    start = np.concatenate([[0], np.cumsum(whole + 1)])
+    cut = np.flatnonzero(whole * h < end)
+    lo, hi, owner, index = [whole[cut] * h[cut]], [end[cut]], [cut], [whole[cut]]
+    split = np.zeros(start[-1], dtype=bool)
+    for b in inner:
+        at_b = scale * b
+        j = np.floor(at_b / h).astype(np.intp)
+        # an image within rounding of a lattice point splits nothing
+        i = np.flatnonzero((j * h < at_b) & (at_b < (j + 1) * h))
+        j, at_b = j[i], at_b[i]
+        split[start[i] + j] = True
+        lo += [j * h[i], at_b]
+        hi += [at_b, (j + 1) * h[i]]
+        owner += [i, i]
+        index += [j, j]
+    lo, hi, owner, index = (np.concatenate(part) for part in (lo, hi, owner, index))
+    # a band is the frequencies on one lattice, listed in ``order`` from
+    # offset[b] on by decreasing whole panel count.  Source g < lattice is
+    # panel j = g - base[b] of band b's lattice, and pairs first[g] ..
+    # first[g + 1] - 1 give it to the band's frequencies with more than j
+    # whole panels; the split panels follow, one source and one pair each
+    counts = np.bincount(level)
+    levels = np.flatnonzero(counts)
+    band = (np.cumsum(counts > 0) - 1)[level]
+    order = np.lexsort((-whole, level))
+    offset = np.concatenate([[0], np.cumsum(counts[levels])])
+    base = np.concatenate([[0], np.cumsum(whole[order[offset[:-1]]])])
+    lattice, sources = base[-1], base[-1] + lo.size
+    stops = np.bincount(base[band] + whole, minlength=lattice + 1)
+    users = np.cumsum(np.bincount(base[band], minlength=lattice + 1) - stops)
+    first = np.concatenate([[0], np.cumsum(np.concatenate([users[:-1], np.ones(lo.size, np.intp)]))])
+    paired = first[lattice]
+    steps = np.ldexp(pi / 2.0, -levels)
 
+    def rule(g0: int, g1: int):
+        g = np.arange(g0, min(g1, lattice))
+        b = np.searchsorted(base, g, side="right") - 1
+        j, step = g - base[b], steps[b]
+        rows = np.arange(max(g0, lattice), g1) - lattice
+        edges = np.stack([np.concatenate([j * step, lo[rows]]), np.concatenate([(j + 1) * step, hi[rows]])], axis=-1)
+        nodes, weights = panel_rule(edges, P)
+        if w.singularity_exponent < 0.0:
+            at_0 = edges[:, 0] == 0.0
+            nodes[at_0], weights[at_0] = origin_panel(edges[at_0, 1], P, w.n - 1.0 + w.singularity_exponent)
+        return nodes, weights
 
-def _node_groups(blocks):
-    """Consecutive ``(i, nodes, weights)`` blocks in lists of at most
-    MU_HAT_BLOCK nodes."""
-    group, size = [], 0
-    for block in blocks:
-        if group and size + block[1].size > MU_HAT_BLOCK:
-            yield group
-            group, size = [], 0
-        group.append(block)
-        size += block[1].size
-    if group:
-        yield group
+    def pairs(p0: int, p1: int):
+        p = np.arange(p0, min(p1, paired))
+        g = np.searchsorted(first, p, side="right") - 1
+        b = np.searchsorted(base, g, side="right") - 1
+        i = order[offset[b] + p - first[g]]
+        j = g - base[b]
+        keep = ~split[start[i] + j]
+        rows = np.arange(max(p0, paired), p1) - paired
+        g = np.concatenate([g[keep], lattice + rows])
+        i = np.concatenate([i[keep], owner[rows]])
+        return g, i, start[i] + np.concatenate([j[keep], index[rows]])
+
+    sums = np.zeros(start[-1])
+    block = MU_HAT_BLOCK // P
+    for g0 in range(0, sources, block):
+        g1 = min(g0 + block, sources)
+        nodes, weights = rule(g0, g1)
+        qj = weights * bessel_j(half, nodes.ravel()).reshape(nodes.shape)
+        for p0 in range(first[g0], first[g1], block):
+            g, i, slot = pairs(p0, min(p0 + block, first[g1]))
+            r = nodes[g - g0] / scale[i, None]
+            vals = w.n * r ** (half - 1.0) * w.profile(r)
+            np.add.at(sums, slot, np.sum(qj[g - g0] * vals, axis=1))
+    totals = np.array([np.sum(sums[a:b]) for a, b in zip(start[:-1], start[1:])])
+    return totals / scale / xis**half
 
 
 def _multiplier(w: RadialWeight, xis: np.ndarray, nodes_per_panel: int) -> np.ndarray:
@@ -264,7 +323,8 @@ def _multiplier(w: RadialWeight, xis: np.ndarray, nodes_per_panel: int) -> np.nd
         raise ValueError("frequency magnitude must be finite and nonnegative")
     out = np.full(xis.shape, w.mass)
     positive = xis > 0.0
-    out[positive] = _mu_hat_quad(w, xis[positive], nodes_per_panel)
+    if positive.any():
+        out[positive] = _mu_hat_quad(w, xis[positive], nodes_per_panel)
     return out
 
 
@@ -273,13 +333,16 @@ def mu_hat(w: RadialWeight, xi_norm):
 
     At zero frequency the value is the weight's mass (exactly 1 for
     normalized weights, up to the 1e-8 mass quadrature tolerance).  The
-    quadrature is the radial rule of the mass and ``superposition_measure``
-    with panels no wider than 1/(4 xi), so each panel sees at most a quarter
-    period of the Bessel oscillation.  The panel blocks of all the
-    given frequencies are evaluated together, MU_HAT_BLOCK radial nodes per
-    ``bessel_j`` call; a scalar is a one-element array and returns a float.
-    Each value depends on its own frequency alone: ``mu_hat(w, xis)[i] ==
-    mu_hat(w, xis[i])`` bit for bit.
+    quadrature runs in t = 2 pi r xi on the panel lattice of step
+    h = (pi/2) 2^-k, the coarsest whose panels are no wider in r than
+    min(1/(4 xi), R/32) and an eighth of the shortest segment between
+    breakpoints, so each panel sees at most a quarter period of the Bessel
+    oscillation; panels are split at breakpoints and at the end of the
+    support.  The frequencies of one call with the same k share the Bessel
+    values of their whole panels, MU_HAT_BLOCK nodes per ``bessel_j`` call,
+    and each evaluates the profile on its own nodes; a scalar is a
+    one-element array and returns a float.  Each value depends on its own
+    frequency alone: ``mu_hat(w, xis)[i] == mu_hat(w, xis[i])`` bit for bit.
     """
     xi = np.asarray(xi_norm, dtype=float)
     out = _multiplier(w, xi, PANEL_NODES)

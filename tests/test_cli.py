@@ -90,6 +90,21 @@ def test_cli_import_leaves_scipy_out():
     assert done.stdout.strip() == "[]"
 
 
+def test_dense_multiplier_and_linf_counterexample_leave_numpy_ma_out(tmp_path):
+    # a plain np.unique imports numpy.ma on its first call in a process;
+    # neither the multiplier tables nor the measure sweep need it
+    probe = (
+        "import sys, numpy as np, nlops.cli as cli, nlops.fields as F, nlops.operators as O, nlops.weights as W\n"
+        "u = F.TorusField(n=2, N=32, values=np.random.default_rng(0).standard_normal((32, 32, 1)))\n"
+        "F.apply_radial_spectral(O.gradient(2), u, W.normalize(W.bump(2, 0.3)))\n"
+        f"assert cli.main(['counterexample-linf', '--out', {str(tmp_path)!r}]) == 0\n"
+        "print('numpy.ma' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(nlops.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip().splitlines()[-1] == "False"
+
+
 @pytest.mark.parametrize(
     "argv,status", [(["zeros"], 0), (["witness", "--config", "s03.ini"], 1), (["zeros", "--threads", "0"], 2)]
 )

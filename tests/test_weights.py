@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import sici
 
-from nlops.bessel import ball_transform, unit_ball_volume
+from nlops.bessel import ball_transform, bessel_j, unit_ball_volume
 from nlops.weights import (
     FRACTIONAL_MIN_S,
     MU_HAT_BLOCK,
@@ -164,7 +164,9 @@ class TestMuHat:
             assert mu_hat(w, 0.0) == w.mass
 
     @pytest.mark.parametrize("eps", [0.1, 0.05, 0.01])
-    @pytest.mark.parametrize("xi", [0.3, 1.0, 4.0, 17.0])
+    # at xi = 465 the breakpoint eps maps to t = 2 pi eps xi, a point of the
+    # panel lattice in t up to rounding for eps = 0.1 and 0.05
+    @pytest.mark.parametrize("xi", [0.3, 1.0, 4.0, 17.0, 465.0])
     def test_annulus_against_sine_integral(self, eps, xi):
         assert abs(mu_hat(annulus(eps), xi) - si_annulus_mu(eps, xi)) < 1e-12
 
@@ -172,17 +174,44 @@ class TestMuHat:
         "w",
         [normalize(bump(n)) for n in (1, 2, 3)]
         + [normalize(gaussian_modification(n, 1.0)) for n in (1, 2, 3)]
-        + [annulus(0.1)],
-        ids=["bump1", "bump2", "bump3", "gaussian1", "gaussian2", "gaussian3", "annulus"],
+        + [annulus(0.1)]
+        + [normalize(fractional(n, 0.5)) for n in (1, 2, 3)],
+        ids=["bump1", "bump2", "bump3", "gaussian1", "gaussian2", "gaussian3", "annulus"]
+        + ["fractional1", "fractional2", "fractional3"],
     )
     def test_each_value_depends_on_its_own_frequency_alone(self, w):
-        # the frequencies share Bessel calls, but each value is its scalar
-        # call's, bit for bit
-        xis = np.random.default_rng(w.n).permutation(np.concatenate([[0.0], np.linspace(0.05, 40.0, 79)]))
+        # the frequencies share Bessel values, but each value is its scalar
+        # call's, bit for bit; the lattice step halves below the band edges
+        # xi = 2^-k max(8/R, 2/s), s the shortest segment between
+        # breakpoints, and frequencies sit on and next to them
+        R = truncation_radius(w)
+        points = [0.0] + [b for b in w.breakpoints if 0.0 < b < R] + [R]
+        edge = max(8.0 / R, 2.0 / min(np.diff(points)))
+        edges = edge * 2.0 ** np.arange(-3, 3)
+        ulp = np.concatenate([np.nextafter(edges, 0.0), np.nextafter(edges, np.inf)])
+        near = np.concatenate([edges, ulp, edges * 0.99, edges * 1.01])
+        xis = np.concatenate([[0.0], np.linspace(0.05, 40.0, 79), near])
+        xis = np.random.default_rng(w.n).permutation(xis)
         assert mu_hat(w, xis).tolist() == [mu_hat(w, xi) for xi in xis]
 
+    def test_frequencies_share_the_bessel_values_of_their_lattice(self, monkeypatch):
+        # the 129 Chebyshev points of a gradient2d N=128 table: with panels
+        # of their own the frequencies took 126 448 Bessel values, on the
+        # lattices in t = 2 pi r xi they take 11 824
+        xis = 0.5 * np.sqrt(2.0) * 63.0 * (1.0 + np.cos(pi * np.arange(129) / 128))
+        w = normalize(bump(2, 0.3))
+        points = []
+
+        def counted(a, t):
+            points.append(np.size(t))
+            return bessel_j(a, t)
+
+        monkeypatch.setattr("nlops.weights.bessel_j", counted)
+        mu_hat(w, xis)
+        assert sum(points) < 40_000
+
     def test_panels_follow_the_oscillation(self):
-        # the radial rule's panels, the origin panel included, are no wider
+        # the multiplier's panels, the origin panel included, are no wider
         # than 1/(4 xi) here: with the mass's panels the Gaussian value is
         # off by 1.1e-4
         xi = 50.0
@@ -194,8 +223,8 @@ class TestMuHat:
     def test_split_segment_keeps_the_accuracy(self):
         # at xi = 200 the segment [0, 1] has 800 panels, more than the
         # MU_HAT_BLOCK // PANEL_NODES = 512 of one block, so it is split; the
-        # value stays within 6e-16 (relative) of the closed form, 4e-16 at
-        # xi = 50
+        # value stays within 4.5e-16 (relative) of the closed form, 2.3e-16
+        # at xi = 50
         xi = 200.0
         assert 4 * xi > MU_HAT_BLOCK // PANEL_NODES
         ref = fresnel_fractional_mu(xi)
@@ -203,7 +232,8 @@ class TestMuHat:
 
     def test_memory_stays_bounded_at_high_frequency(self):
         # 4 xi R = 2.8e5 panels of 16 nodes: held at once they took about
-        # 0.5 GB; in blocks of MU_HAT_BLOCK nodes the peak is about 3.6 MB
+        # 0.5 GB; in blocks of MU_HAT_BLOCK nodes, with a few numbers per
+        # panel kept whole, the peak is about 8 MB
         w = normalize(gaussian_modification(1, 1.0))
         tracemalloc.start()
         try:
@@ -257,9 +287,9 @@ class TestMuHat:
         ids=lambda w: f"{w.name}-n{w.n}",
     )
     def test_array_matches_one_scalar_call_per_element(self, w):
-        # enough frequencies that the batched quadrature spans several
-        # bessel_j calls of MU_HAT_BLOCK nodes
-        xi = np.concatenate([[0.0], np.linspace(0.05, 60.0, 37), [0.0, 3.0]])
+        # enough frequencies, and high enough, that the lattices span
+        # several bessel_j calls of MU_HAT_BLOCK nodes
+        xi = np.concatenate([[0.0], np.linspace(0.05, 60.0, 37), [150.0, 300.0, 0.0, 3.0]])
         got = mu_hat(w, xi)
         want = np.array([mu_hat(w, float(x)) for x in xi])
         assert got.shape == xi.shape
