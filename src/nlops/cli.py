@@ -352,11 +352,13 @@ def cmd_kernel_check(cfg: ExperimentConfig, rng) -> tuple:
     s = _setting(cfg, "kernel", "s", 0.5, POSITIVE)
     max_degree = _setting(cfg, "kernel", "max_degree", 4, COUNT)
     scan = fields.kernel_check_torus(op, s, max_degree)
-    m_text = [" ".join(map(str, mvec)) for mvec in scan.m.tolist()]
+    cell = " ".join(["%d"] * op.n)
+    m_text = [cell % tuple(mvec) for mvec in scan.m.tolist()]
     columns = (scan.m_norm.tolist(), scan.symbol_rank.tolist(), scan.j_value.tolist())
     rows = list(zip(m_text, *columns, [fields.BESSEL_EVAL_ERR] * len(m_text), scan.flag))
-    flagged = ", ".join("(" + " ".join(str(x) for x in m) + ")" for m in scan.flagged[:8])
-    more = "" if len(scan.flagged) <= 8 else f" and {len(scan.flagged) - 8} more"
+    zero = np.flatnonzero(scan.flag == "zero")
+    flagged = ", ".join(f"({m_text[k]})" for k in zero[:8])
+    more = "" if len(zero) <= 8 else f" and {len(zero) - 8} more"
     summary = scan.verdict + (f"; flagged {flagged}{more}" if flagged else "")
     header = ["m", "m_norm", "symbol_rank", "j_value", "j_error", "flag"]
     return True, summary, header, rows, [("s", s), ("max_degree", max_degree)]

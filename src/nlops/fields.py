@@ -173,10 +173,8 @@ def _apply(
     The field is real, so its spectrum and the output's are Hermitian: every
     step runs on the half spectrum of ``np.fft.rfftn`` (last frequency
     m_n >= 0), about half the modes of the full grid, and ``np.fft.irfftn``
-    restores the other half.  Spectra are fiber-first, (dim,) + modes: the
-    forward FFT reads a contiguous fiber-first copy of the field, which is
-    faster than a strided view and gives the same values; ``_contract``
-    makes one 2-D product per coefficient matrix; and
+    restores the other half.  Spectra are fiber-first, (dim,) + modes:
+    ``_contract`` makes one 2-D product per coefficient matrix, and
     ``TorusField`` copies the inverse transform back to its fiber-last
     layout.  Passing a hook, as the averaged operators do, prunes the
     spectrum below SPECTRUM_FLOOR of the peak of its fiber maximum: FFT
@@ -189,7 +187,7 @@ def _apply(
     """
     axes = tuple(range(1, u.n + 1))
     grid = _grid(u.n, u.N)
-    uhat = np.fft.rfftn(np.ascontiguousarray(np.moveaxis(u.values, -1, 0)), axes=axes)
+    uhat = np.fft.rfftn(np.moveaxis(u.values, -1, 0), axes=axes)
     out = _contract(op, uhat, grid.m)
     if kernel is None:
         # only a kernel reads the input spectrum again; free it before the
@@ -476,15 +474,14 @@ def localization_table(
 class KernelScan:
     """A sphere-scale kernel scan, one column entry per frequency: ``m`` is
     the (k, n) int array of frequencies and ``flag`` is "zero",
-    "inconclusive" or "nonzero"."""
+    "inconclusive" or "nonzero"; the kernel frequencies are
+    ``m[flag == "zero"]``.  ``verdict`` is the scan's one-line summary."""
 
     m: np.ndarray
     m_norm: np.ndarray
     symbol_rank: np.ndarray
     j_value: np.ndarray
     flag: np.ndarray
-    flagged: tuple[tuple[int, ...], ...]
-    inconclusive: tuple[tuple[int, ...], ...]
     verdict: str
 
 
@@ -505,16 +502,16 @@ def kernel_check_torus(op: FirstOrderOperator, s: float, max_degree: int = 8) ->
     j = bessel_j(op.n / 2.0, 2.0 * pi * s * norms)
     zero = np.abs(j) < KERNEL_ZERO_TOL
     gray = ~zero & (np.abs(j) < KERNEL_GRAY_TOL)
-    flagged = tuple(map(tuple, m[zero].tolist()))
-    inconclusive = tuple(map(tuple, m[gray].tolist()))
-    if flagged:
-        verdict = f"kernel frequencies found: {len(flagged)} of {len(m)} scanned"
-    elif inconclusive:
+    if zero.any():
+        verdict = f"kernel frequencies found: {np.count_nonzero(zero)} of {len(m)} scanned"
+    elif gray.any():
         verdict = "no kernel frequencies at tolerance; some values inconclusive"
     else:
         verdict = "no kernel frequencies up to the scanned degree"
     flag = np.array(["nonzero", "inconclusive", "zero"], dtype=object)[2 * zero + gray]
-    return KernelScan(m, norms, wave_ranks(op, m), j, flag, flagged, inconclusive, verdict)
+    # m runs over -m in reverse, and A(-m) = -A(m) has the rank of A(m)
+    ranks = wave_ranks(op, m[: len(m) // 2])
+    return KernelScan(m, norms, np.concatenate([ranks, ranks[::-1]]), j, flag, verdict)
 
 
 @dataclass(frozen=True)

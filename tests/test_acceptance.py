@@ -225,7 +225,7 @@ def test_criterion_07_kernel_witness():
     t0 = time.perf_counter()
     rep = kernel_witness(D1, 0.5, (1,), (1.0,))
     scan = kernel_check_torus(D1, 1.0, max_degree=4)
-    flags = set(scan.flagged)
+    flags = set(map(tuple, scan.m[scan.flag == "zero"].tolist()))
     dt = time.perf_counter() - t0
     witness_ok = rep.sup_spherical < 1e-10 and abs(rep.sup_local - 2 * pi) < 1e-6
     scan_ok = flags == {(m,) for m in range(-4, 5) if m}
