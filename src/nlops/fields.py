@@ -15,10 +15,11 @@ multiplier routes scale by a radial multiplier (the ball transform, or the
 weight's Bessel multiplier) through a table over the frequency shells |m|
 that carry spectrum, filled by one call.
 The direct (quadrature) routes, independent cross-checks, replace m by the
-sphere rule's difference-quotient symbol, which tends to m as the scale
-goes to 0, and never evaluate a closed-form multiplier.  Both radial routes
-cut the weight where its tail falls below ``weights.TAIL_CUTOFF``, so they
-agree to rounding.
+sphere rule's difference-quotient symbol, a sum of sines that tends to m as
+the scale goes to 0, and never evaluate a closed-form multiplier.  So every
+route's symbol (m, G_s(|m|) m, mu_hat(|m|) m or the direct one) is real and
+odd in m, on any sphere rule.  Both radial routes cut the weight where its
+tail falls below ``weights.TAIL_CUTOFF``, so they agree to rounding.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ KERNEL_GRAY_TOL = 1e-4
 #: averaged operators prune their frequency work set.
 SPECTRUM_FLOOR = 1e-14
 
-#: Complex exponentials held at once by the direct routes' phase buffer.
+#: Sines held at once by the direct routes' sine buffer.
 DIRECT_BLOCK = 2**13
 
 #: A Chebyshev interpolant of a radial multiplier is accepted once its last
@@ -157,7 +158,6 @@ def _contract(op: FirstOrderOperator, uhat: np.ndarray, k: np.ndarray) -> np.nda
     for a, k_i in zip(op.coeffs, k.reshape(op.n, -1)):
         # out += k_i * (A_i uhat): one 2-D product over every mode at once
         np.matmul(a, flat, out=term)
-        # k_i first: with FMA, complex products round by operand order
         np.multiply(k_i, term, out=term)
         out += term
     out *= 2j * pi
@@ -235,28 +235,31 @@ def _direct_symbol(m: np.ndarray, radii: np.ndarray, rweights: np.ndarray, quad_
     operators against the discrete radial measure sum_k c_k delta(r - r_k),
     (r_k, c_k) = (radii[k], rweights[k]), on the frequencies ``m`` (k, n).
 
-    Returns K(m) / (2 pi i), with
-    K(m) = n/|S| sum_omega w_omega omega sum_k (c_k/r_k)(e^(2 pi i r_k m.omega) - 1):
-    the exact shifted difference quotients, summed over the explicit sphere
-    rule.  It tends to m times the measure's mass as the radii go to 0.  The
-    closed-form multipliers are never evaluated.
+    Returns the real (k, n) array
+    n/(2 pi |S|) sum_omega w_omega omega sum_k (c_k/r_k) sin(2 pi r_k m.omega)
+    on the explicit sphere rule as given: the part odd in m of K(m) / (2 pi i),
+    with K(m) = n/|S| sum_omega w_omega omega sum_k (c_k/r_k)(e^(2 pi i r_k m.omega) - 1)
+    the exact shifted difference quotients.  Their even part, the cosines and
+    the constant, cancels between antipodal nodes, so only on a centrally
+    symmetric rule; the sines keep the symbol real and odd on every rule,
+    sym(-m) == -sym(m) bit for bit.  It tends to m times the measure's mass
+    as the radii go to 0.  The closed-form multipliers are never evaluated.
     """
     n = m.shape[-1]
     nodes, wq = sphere_quadrature(n, quad_order)
     scaled = rweights / radii
-    kernel = np.empty((len(m), n), dtype=complex)
-    # blocks of modes and radii bound the (radii x modes x nodes) phase buffer
+    kernel = np.empty((len(m), n))
+    # blocks of modes and radii bound the (radii x modes x nodes) sine buffer
     modes_per_block = max(1, DIRECT_BLOCK // len(nodes))
     for j0 in range(0, len(m), modes_per_block):
         proj = m[j0 : j0 + modes_per_block] @ nodes.T
         radii_per_block = max(1, DIRECT_BLOCK // proj.size)
-        acc = np.full(proj.shape, -np.sum(scaled), dtype=complex)
+        acc = np.zeros(proj.shape)
         for k0 in range(0, radii.size, radii_per_block):
-            block = radii[k0 : k0 + radii_per_block]
-            phase = np.exp(2j * pi * np.multiply.outer(block, proj))
-            acc += np.tensordot(scaled[k0 : k0 + radii_per_block], phase, axes=1)
+            sines = np.sin(2 * pi * np.multiply.outer(radii[k0 : k0 + radii_per_block], proj))
+            acc += np.tensordot(scaled[k0 : k0 + radii_per_block], sines, axes=1)
         kernel[j0 : j0 + modes_per_block] = (acc * wq) @ nodes
-    return kernel * (n / (2j * pi * sphere_surface(n)))
+    return kernel * (n / (2 * pi * sphere_surface(n)))
 
 
 def apply_spherical_direct(

@@ -66,13 +66,14 @@ class FirstOrderOperator:
 
 
 def symbol(op: FirstOrderOperator, xi) -> np.ndarray:
-    """Principal symbol sum_i xi_i A_i as a (dim_w, dim_v) matrix."""
-    xi = np.asarray(xi, dtype=float).reshape(-1)
-    if xi.size != op.n:
-        raise ValueError(f"frequency vector has length {xi.size}, operator has n={op.n}")
-    out = np.zeros((op.dim_w, op.dim_v))
-    for c, a in zip(xi, op.coeffs):
-        out += c * a
+    """Principal symbol sum_i xi_i A_i: frequencies of shape (..., n) give
+    matrices of shape (..., dim_w, dim_v), a length-n vector one matrix."""
+    xi = np.asarray(xi, dtype=float)
+    if xi.shape[-1:] != (op.n,):
+        raise ValueError(f"frequencies of shape {xi.shape} need a last axis of length n={op.n}")
+    out = np.zeros(xi.shape[:-1] + (op.dim_w, op.dim_v))
+    for i, a in enumerate(op.coeffs):
+        out += xi[..., i, None, None] * a
     return out
 
 
@@ -112,14 +113,9 @@ def wave_ranks(op: FirstOrderOperator, xis) -> np.ndarray:
 
     A frequency is "active" (belongs to the wave set) iff the rank is
     positive.  Singular values below ``RANK_RTOL`` times the largest are
-    treated as zero.  The symbols are summed in the order :func:`symbol`
-    uses.
+    treated as zero.
     """
-    xis = np.asarray(xis, dtype=float).reshape(-1, op.n)
-    mats = np.zeros((len(xis), op.dim_w, op.dim_v))
-    for c, a in zip(xis.T, op.coeffs):
-        mats += c[:, None, None] * a
-    sv = np.linalg.svd(mats, compute_uv=False)
+    sv = np.linalg.svd(symbol(op, np.reshape(xis, (-1, op.n))), compute_uv=False)
     # an all-zero symbol has no singular value above zero, so rank 0
     return np.sum(sv > RANK_RTOL * sv[:, :1], axis=1)
 

@@ -245,7 +245,11 @@ def _mu_hat_quad(w: RadialWeight, xis: np.ndarray, nodes_per_panel: int) -> np.n
     level = np.maximum(0, 1 - np.frexp(xis * min(R / 8.0, shortest / 2.0))[1])
     h = np.ldexp(pi / 2.0, -level)
     end = scale * R
-    whole = np.floor(end / h).astype(np.intp)
+    count = end / h
+    if np.any(count >= np.iinfo(np.intp).max):
+        i = int(np.argmax(count))
+        raise ValueError(f"mu_hat at xi = {xis[i]:g} needs {count[i]:.3g} panels, more than an array can index")
+    whole = np.floor(count).astype(np.intp)
     # frequency i sums slots start[i] + j: j < whole[i] for its lattice
     # panels, j = whole[i] for the panel cut at T
     start = np.concatenate([[0], np.cumsum(whole + 1)])

@@ -454,6 +454,11 @@ class TestExitStatuses:
         # a failed invariant still leaves its evidence
         assert (tmp_path / "witness.csv").read_text().splitlines()[1] == "# subcommand: witness"
 
+    def test_frequency_past_an_array_index_exits_one_with_its_name(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "[multiplier]\nxi_list = 0 1e20\n")
+        assert run(tmp_path, "multiplier", "--config", cfg) == 1
+        assert capsys.readouterr().err.startswith("ERROR multiplier: mu_hat at xi = 1e+20 needs ")
+
     @pytest.mark.parametrize(
         "subcommand,alpha",
         [("bessel", "200"), ("bessel", "10"), ("zeros", "20"), ("zeros", "120")],

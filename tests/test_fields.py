@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from nlops.bessel import ball_transform, bessel_j
 from nlops.fields import (
+    DIRECT_BLOCK,
     SPECTRUM_FLOOR,
     TorusField,
     _direct_symbol,
@@ -39,6 +40,7 @@ from nlops.operators import (
     sym_grad,
     wave_rank,
 )
+from nlops.quadrature import sphere_quadrature, sphere_surface
 from nlops.weights import (
     annulus,
     annulus_family,
@@ -322,6 +324,63 @@ class TestRadial:
             apply_radial_spectral(D1, sine_field(N=16), normalize(bump(2)))
 
 
+def complex_direct_symbol(m, radii, rweights, quad_order):
+    """The direct symbol as first written: K(m) / (2 pi i) in complex
+    arithmetic, with the cosines and the constant term, summed over the
+    radii in the blocks of ``_direct_symbol``; ``m`` must fit one block of
+    modes."""
+    n = m.shape[-1]
+    nodes, wq = sphere_quadrature(n, quad_order)
+    proj, scaled = m @ nodes.T, rweights / radii
+    assert len(m) <= DIRECT_BLOCK // len(nodes)
+    step = max(1, DIRECT_BLOCK // proj.size)
+    acc = np.full(proj.shape, -np.sum(scaled), dtype=complex)
+    for k0 in range(0, radii.size, step):
+        phase = np.exp(2j * pi * np.multiply.outer(radii[k0 : k0 + step], proj))
+        acc += np.tensordot(scaled[k0 : k0 + step], phase, axes=1)
+    return (acc * wq) @ nodes * (n / (2j * pi * sphere_surface(n)))
+
+
+class TestDirectSymbol:
+    """The direct routes' symbol is real and odd on every sphere rule, like
+    m, G_s(|m|) m and mu_hat(|m|) m."""
+
+    @staticmethod
+    def modes_and_measure(n, count):
+        m = np.random.default_rng(n).integers(-20, 21, size=(count, n)).astype(float)
+        return m, superposition_measure(normalize(bump(n, 0.3)))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("order", [7, 8, 32, 65])
+    def test_real_and_odd_bit_for_bit(self, n, order):
+        # the n = 2 trapezoid rule at an odd order has no antipodal pairs
+        m, (radii, rweights) = self.modes_and_measure(n, 40 if n < 3 else 6)
+        sym = _direct_symbol(m, radii, rweights, order)
+        assert sym.dtype == np.float64 and sym.shape == m.shape
+        assert np.array_equal(_direct_symbol(-m, radii, rweights, order), -sym)
+
+    @pytest.mark.parametrize("n,order", [(1, 7), (1, 8), (2, 8), (2, 32), (3, 7), (3, 8), (3, 32)])
+    def test_centrally_symmetric_rules_keep_the_complex_value(self, n, order):
+        # antipodal nodes cancel the cosines and the constant, so there the
+        # complex symbol is the real one up to rounding
+        m, (radii, rweights) = self.modes_and_measure(n, 40 if n < 3 else 4)
+        want = complex_direct_symbol(m, radii, rweights, order)
+        sym = _direct_symbol(m, radii, rweights, order)
+        assert np.max(np.abs(sym - want.real)) <= 1e-15 * np.max(np.abs(want.real))
+
+    def test_odd_order_routes_meet_the_spectral_routes(self):
+        # an odd trapezoid count aliases an odd integrand only at twice its
+        # count, so order 15 resolves this field; the complex symbol's even
+        # part left 2.7e-6 (sphere) and 8.4e-5 (radial)
+        op, s, w = gradient(2), 0.15, normalize(bump(2, 0.3))
+        u = random_trig_field(2, 32, 1, np.random.default_rng(3), max_degree=4)
+        for spectral, direct in (
+            (apply_spherical_spectral(op, u, s), apply_spherical_direct(op, u, s, 15)),
+            (apply_radial_spectral(op, u, w), apply_radial_direct(op, u, w, 15)),
+        ):
+            assert np.max(np.abs(direct.values - spectral.values)) <= 1e-13 * np.max(np.abs(spectral.values))
+
+
 class TestShellTable:
     """How apply_radial_spectral fills its multiplier dict: one Chebyshev
     interpolant on dense spectra, one mu_hat call on all shells of sparse
@@ -502,7 +561,7 @@ class TestGridFacts:
         N = TestRadial.CASES[op.n][1]
         rng = np.random.default_rng(50 + op.dim_v + op.dim_w)
         self.assert_warm_routes_match(op, N, spectrum, rng)
-        # the direct routes multiply the products by a complex symbol
+        # the direct routes contract the spectrum again with their own symbol
         u = TorusField(n=op.n, N=N, values=rng.standard_normal((N,) * op.n + (op.dim_v,)))
         want = reference_route(
             op, u, kernel=lambda m: _direct_symbol(m, np.array([0.15]), np.array([1.0]), 16), half=True
@@ -832,6 +891,15 @@ class TestConstruction:
             u.values[0, 0] = 1.0
 
 
+@st.composite
+def first_order_operators(draw):
+    """A FirstOrderOperator with n = 1..3, one to four components in and out,
+    and standard normal coefficients."""
+    n, dim_v, dim_w = draw(st.integers(1, 3)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    coeffs = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal((n, dim_w, dim_v))
+    return FirstOrderOperator(n, dim_v, dim_w, tuple(coeffs))
+
+
 class TestNormsAndDuality:
     def test_lp_norm_values(self):
         u = TorusField(n=1, N=8, values=np.full((8, 2), 3.0))
@@ -854,6 +922,30 @@ class TestNormsAndDuality:
         right = np.mean(np.sum(u.values * apply_local(adjoint(op), psi).values, axis=-1))
         scale = lp_norm(u, 2) * lp_norm(psi, 2)
         assert abs(left - right) < 1e-8 * scale
+
+    @given(first_order_operators(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=12, deadline=None)
+    def test_integration_by_parts_on_every_route(self, op, seed):
+        # every route's symbol is real and odd, so the averaged operators of
+        # A and A* stay adjoint on any sphere rule: the direct routes run at
+        # order 7 too, where the n = 2 rule has no antipodal pairs
+        n, s, w = op.n, 0.2, normalize(bump(op.n, 0.3))
+        rng = np.random.default_rng(seed)
+        u = random_trig_field(n, 16, op.dim_v, rng, max_degree=3)
+        psi = random_trig_field(n, 16, op.dim_w, rng, max_degree=3)
+        routes = {
+            "local": apply_local,
+            "spherical_spectral": lambda a, f: apply_spherical_spectral(a, f, s),
+            "radial_spectral": lambda a, f: apply_radial_spectral(a, f, w),
+        }
+        for order in (7, 8):
+            routes[f"spherical_direct {order}"] = lambda a, f, q=order: apply_spherical_direct(a, f, s, q)
+            routes[f"radial_direct {order}"] = lambda a, f, q=order: apply_radial_direct(a, f, w, q)
+        scale = lp_norm(u, 2) * lp_norm(psi, 2)
+        for name, route in routes.items():
+            left = np.mean(np.sum(route(op, u).values * psi.values, axis=-1))
+            right = np.mean(np.sum(u.values * route(adjoint(op), psi).values, axis=-1))
+            assert abs(left - right) <= 1e-13 * scale, name
 
     def test_spherical_integration_by_parts(self):
         # the ball multiplier is even, so the sphere-scale operators of A

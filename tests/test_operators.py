@@ -64,6 +64,19 @@ def test_sym_grad_symbol_is_symmetrized_tensor():
     np.testing.assert_allclose(out, expected, atol=1e-14)
 
 
+def test_symbol_stacks_over_leading_axes():
+    # frequencies of shape (..., n) give one matrix each, the bits of that
+    # frequency's own symbol; a wrong last axis is refused
+    op = preset("sym-grad", 2)
+    xis = np.random.default_rng(3).normal(size=(4, 5, 2))
+    mats = symbol(op, xis)
+    assert mats.shape == (4, 5, 4, 2)
+    for idx in np.ndindex(4, 5):
+        assert np.array_equal(mats[idx], symbol(op, xis[idx]))
+    with pytest.raises(ValueError):
+        symbol(op, np.ones((4, 3)))
+
+
 def test_omega_profile_normalizes():
     op = preset("gradient", 2)
     xi = np.array([3.0, 4.0])

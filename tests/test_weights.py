@@ -322,6 +322,12 @@ class TestMuHat:
         with pytest.raises(ValueError):
             mu_hat(normalize(bump(2)), xi)
 
+    def test_frequency_past_an_array_index_is_refused_by_name(self):
+        # its panel count overflowed the integer cast: a RuntimeWarning, then
+        # numpy's "negative dimensions are not allowed"
+        with pytest.raises(ValueError, match=r"mu_hat at xi = 1e\+20 needs .* panels"):
+            mu_hat(normalize(gaussian_modification(1, 1.0)), np.array([0.0, 1e20]))
+
     def test_scan_error_is_the_rule_difference(self):
         # the estimate is still the default rule against the half-order rule
         w = normalize(gaussian_modification(2, 0.1))
