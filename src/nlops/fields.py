@@ -182,8 +182,8 @@ def _apply(
     which contributes less than that to any output.  A non-finite field has
     no finite peak and is rejected.  ``kernel`` maps the remaining
     frequencies, shape (k, n), to the symbol that replaces m; ``multiplier``
-    maps the sorted |m| of the remaining shells to values scattered back
-    over them.
+    maps the mask over ``_grid(n, N).shells`` of the shells that still carry
+    spectrum to their values, in shell order, scattered back over them.
     """
     axes = tuple(range(1, u.n + 1))
     grid = _grid(u.n, u.N)
@@ -210,7 +210,7 @@ def _apply(
             present = np.zeros(grid.shells.size, dtype=bool)
             present[grid.shell_of[active]] = True
             table = np.zeros(grid.shells.size)
-            table[present] = multiplier(grid.shells[present])
+            table[present] = multiplier(present)
             out *= np.where(active, table[grid.shell_of], 0.0)
     vals = np.fft.irfftn(out, s=(u.N,) * u.n, axes=axes)
     return TorusField(n=u.n, N=u.N, values=np.moveaxis(vals, 0, -1))
@@ -227,7 +227,7 @@ def apply_spherical_spectral(op: FirstOrderOperator, u: TorusField, s: float) ->
     _check_compat(op, u)
     if s <= 0:
         raise ValueError("scale s must be positive")
-    return _apply(op, u, multiplier=lambda xis: ball_transform(u.n, s, xis))
+    return _apply(op, u, multiplier=lambda present: ball_transform(u.n, s, _grid(u.n, u.N).shells[present]))
 
 
 def _direct_symbol(m: np.ndarray, radii: np.ndarray, rweights: np.ndarray, quad_order: int) -> np.ndarray:
@@ -285,20 +285,22 @@ def apply_radial_spectral(
 ) -> TorusField:
     """Weighted radial operator via the Bessel multiplier of the weight.
 
-    ``mu_cache`` maps frequency magnitude to multiplier value; pass a dict to
-    reuse evaluations across calls with the same weight.  The shells missing
-    from it are filled together by :func:`_shell_multipliers`.
+    ``mu_cache`` maps a grid size N to the multiplier over the shells of
+    ``_grid(n, N)``, in their order, NaN where not yet evaluated; pass a dict
+    to reuse evaluations across calls with the same weight.  The missing
+    shells are filled together by :func:`_shell_multipliers`.
     """
     _check_compat(op, u)
     if w.n != u.n:
         raise ValueError(f"weight dimension {w.n} does not match field dimension {u.n}")
     cache = {} if mu_cache is None else mu_cache
 
-    def multiplier(shells: np.ndarray) -> list[float]:
-        missing = np.array([xi for xi in shells if xi not in cache])
-        if missing.size:
-            cache.update(zip(missing, _shell_multipliers(w, missing)))
-        return [cache[xi] for xi in shells]
+    def multiplier(present: np.ndarray) -> np.ndarray:
+        table = cache.setdefault(u.N, np.full(present.size, np.nan))
+        missing = present & np.isnan(table)
+        if missing.any():
+            table[missing] = _shell_multipliers(w, _grid(u.n, u.N).shells[missing])
+        return table[present]
 
     return _apply(op, u, multiplier=multiplier)
 

@@ -15,6 +15,7 @@ from nlops.fields import (
     SPECTRUM_FLOOR,
     TorusField,
     _direct_symbol,
+    _grid,
     _shell_multipliers,
     apply_local,
     apply_radial_direct,
@@ -288,14 +289,14 @@ class TestRadial:
             apply_radial_spectral(op, u, w)
 
     def test_mu_cache_is_honored(self):
-        # poisoning a cache entry must change the output, proving the cache
-        # is read rather than recomputed
+        # poisoning the cached table must change the output, proving the
+        # cache is read rather than recomputed
         u = sine_field(N=32)
         w = annulus(0.1)
         cache = {}
         first = apply_radial_spectral(D1, u, w, cache)
-        assert cache
-        poisoned = {k: 0.0 for k in cache}
+        assert list(cache) == [32]
+        poisoned = {N: np.zeros_like(table) for N, table in cache.items()}
         second = apply_radial_spectral(D1, u, w, poisoned)
         assert lp_norm(first, np.inf) > 1.0
         assert lp_norm(second, np.inf) == 0.0
@@ -382,9 +383,15 @@ class TestDirectSymbol:
 
 
 class TestShellTable:
-    """How apply_radial_spectral fills its multiplier dict: one Chebyshev
+    """How apply_radial_spectral fills its multiplier table: one Chebyshev
     interpolant on dense spectra, one mu_hat call on all shells of sparse
     ones."""
+
+    @staticmethod
+    def filled(table, n, N):
+        """The shells of the N^n grid that ``table`` holds, and their values."""
+        known = ~np.isnan(table[N])
+        return _grid(n, N).shells[known], table[N][known]
 
     @staticmethod
     def counting_mu_hat(monkeypatch):
@@ -408,9 +415,9 @@ class TestShellTable:
         u = TorusField(n=2, N=64, values=rng.standard_normal((64, 64, 1)))
         table = {}
         apply_radial_spectral(gradient(2), u, w, table)
-        assert len(calls) < len(table)
-        worst = max(abs(val - mu_hat(w, float(xi))) for xi, val in table.items())
-        assert worst <= 1e-13
+        shells, values = self.filled(table, 2, 64)
+        assert len(calls) < shells.size
+        assert np.max(np.abs(values - mu_hat(w, shells))) <= 1e-13
 
     def test_sparse_spectrum_makes_one_mu_hat_call(self, monkeypatch):
         calls = self.counting_mu_hat(monkeypatch)
@@ -418,9 +425,9 @@ class TestShellTable:
         u = random_trig_field(2, 32, 1, np.random.default_rng(8), max_degree=3, num_terms=6)
         table = {}
         apply_radial_spectral(gradient(2), u, w, table)
-        shells = np.array(sorted(table))
+        shells, values = self.filled(table, 2, 32)
         assert len(calls) == 1 and np.array_equal(calls[0], shells)
-        assert np.array_equal([table[xi] for xi in shells], mu_hat(w, shells))
+        assert np.array_equal(values, mu_hat(w, shells))
 
     def test_unresolved_interpolant_falls_back_to_one_call(self, monkeypatch):
         # no Chebyshev tail meets a zero chop, so every degree the size rule
@@ -432,11 +439,27 @@ class TestShellTable:
         u = TorusField(n=2, N=64, values=rng.standard_normal((64, 64, 1)))
         table = {}
         apply_radial_spectral(gradient(2), u, w, table)
-        shells = np.array(sorted(table))
-        assert len(table) < sum(np.size(xi) for xi in calls) < 1.5 * len(table)
+        shells, values = self.filled(table, 2, 64)
+        assert shells.size < sum(np.size(xi) for xi in calls) < 1.5 * shells.size
         assert np.array_equal(calls[-1], shells)
-        assert np.array_equal([table[xi] for xi in shells], mu_hat(w, shells))
+        assert np.array_equal(values, mu_hat(w, shells))
 
+    def test_table_holds_one_array_per_grid_size(self):
+        # N -> the multiplier over _grid(n, N).shells, NaN exactly at the
+        # shells that never carried spectrum; a second grid size adds a key
+        # and leaves the first table in place
+        w = normalize(bump(2))
+        u = trig_field_from_coeffs(2, 32, 1, [((1, 2), (1.0,)), ((3, 0), (0.5j,)), ((2, -1), (2.0,))])
+        table = {}
+        apply_radial_spectral(gradient(2), u, w, table)
+        shells = _grid(2, 32).shells
+        assert list(table) == [32] and table[32].shape == shells.shape
+        assert np.array_equal(~np.isnan(table[32]), np.isin(shells, [sqrt(5.0), 3.0]))
+        first = table[32]
+        apply_radial_spectral(gradient(2), trig_field_from_coeffs(2, 16, 1, [((1, 1), (1.0,))]), w, table)
+        assert list(table) == [32, 16] and table[16].shape == _grid(2, 16).shells.shape
+        assert table[32] is first
+        assert np.array_equal(~np.isnan(table[16]), _grid(2, 16).shells == sqrt(2.0))
 
     @pytest.mark.parametrize(
         "w",
@@ -519,8 +542,11 @@ def reference_route(op, u, kernel=None, multiplier=None, half=False):
 
 def reference_radial_spectral(op, u, cache, half=False):
     """apply_radial_spectral as computed before the grid facts were cached,
-    reading every multiplier from a full ``cache``."""
-    return reference_route(op, u, multiplier=lambda xis: [cache[xi] for xi in xis], half=half)
+    reading every multiplier from ``cache[u.N]``, filled on every active
+    shell; its shells, the distinct |m| of the half grid, are rebuilt here."""
+    m = half_frequency_grid(u.n, u.N).astype(float)
+    table = dict(zip(np.unique(np.sqrt(np.sum(m**2, axis=-1))), cache[u.N]))
+    return reference_route(op, u, multiplier=lambda xis: [table[xi] for xi in xis], half=half)
 
 
 class TestGridFacts:
@@ -915,7 +941,7 @@ class TestNormsAndDuality:
         # the adjoint's coefficients carry the sign flip, so on the torus
         # <A u, psi> = <u, A* psi> with the uniform grid measure
         N = 16
-        rng = np.random.default_rng(id(op) % 1000)
+        rng = np.random.default_rng(100 + 10 * op.n + op.dim_v)
         u = random_trig_field(op.n, N, op.dim_v, rng, max_degree=3)
         psi = random_trig_field(op.n, N, op.dim_w, rng, max_degree=3)
         left = np.mean(np.sum(apply_local(op, u).values * psi.values, axis=-1))
