@@ -81,7 +81,8 @@ class RadialWeight:
     tail_bound : callable or None
         Analytic map delta -> integral of the weight outside B_delta.
     profile_mp : callable or None
-        mpmath-compatible profile for the high-precision multiplier path.
+        Map of an mpf radius to an mpf value; only ``mu_hat_highprec`` calls
+        it.  The shipped ones import mpmath when called, not when declared.
     """
 
     n: int
@@ -199,11 +200,8 @@ def normalize(w: RadialWeight) -> RadialWeight:
         raise WeightError("cannot normalize a weight of zero or infinite mass")
     prof = w.profile
     new_tail = None if w.tail_bound is None else (lambda d, _t=w.tail_bound, _m=m: _t(d) / _m)
-    new_mp = None
-    if w.profile_mp is not None:
-        import mpmath as mp
-
-        new_mp = lambda r, _p=w.profile_mp, _m=mp.mpf(m): _p(r) / _m  # a float is exact in mpf
+    # an mpf divided by the float m is the mpf divided by mpf(m) at any precision
+    new_mp = None if w.profile_mp is None else (lambda r, _p=w.profile_mp, _m=m: _p(r) / _m)
     return replace(
         w,
         profile=lambda r, _p=prof, _m=m: _p(r) / _m,

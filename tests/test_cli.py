@@ -105,6 +105,25 @@ def test_dense_multiplier_and_linf_counterexample_leave_numpy_ma_out(tmp_path):
     assert done.stdout.strip().splitlines()[-1] == "False"
 
 
+def test_double_precision_runs_leave_mpmath_out(tmp_path):
+    # only mu_hat_highprec computes in mpf; normalizing a weight that
+    # declares an mpmath profile must not load the module
+    (tmp_path / "sized.ini").write_text("[weight]\npreset = gaussian\n[multiplier]\nxi_count = 101\n")
+    out = str(tmp_path)
+    probe = (
+        "import sys, numpy as np, nlops.cli as cli, nlops.fields as F, nlops.operators as O, nlops.weights as W\n"
+        f"assert cli.main(['multiplier', '--out', {out!r}]) == 0\n"
+        f"assert cli.main(['localize', '--out', {out!r}]) == 0\n"
+        f"assert cli.main(['multiplier', '--config', {str(tmp_path / 'sized.ini')!r}, '--out', {out!r}]) == 0\n"
+        "u = F.TorusField(n=2, N=32, values=np.random.default_rng(0).standard_normal((32, 32, 1)))\n"
+        "F.apply_radial_spectral(O.gradient(2), u, W.normalize(W.gaussian_modification(2, 0.05)))\n"
+        "print('mpmath' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(nlops.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip().splitlines()[-1] == "False"
+
+
 @pytest.mark.parametrize(
     "argv,status", [(["zeros"], 0), (["witness", "--config", "s03.ini"], 1), (["zeros", "--threads", "0"], 2)]
 )

@@ -371,6 +371,18 @@ class TestHighPrecision:
             rel = float(got / mp.exp(-2 * mp.pi**2 * mp.mpf(sigma) ** 2 * mp.mpf(xi) ** 2) - 1)
         assert abs(rel - (sigma**2 / base.mass - 1.0)) < 1e-14
 
+    @pytest.mark.parametrize("dps", [15, 35, 60])
+    @pytest.mark.parametrize("w", [gaussian_modification(1, 1.0), gaussian_modification(2, 0.1)], ids=["1d", "2d"])
+    def test_normalized_profile_is_the_exact_quotient(self, w, dps):
+        # normalize divides the mpf profile by the float mass, which mpmath
+        # converts exactly: the same mpf as dividing by mpf(mass)
+        unit = normalize(w)
+        with mp.workdps(dps):
+            for r in (1e-3, 0.5, 3.0):
+                got = unit.profile_mp(mp.mpf(r))
+                assert isinstance(got, mp.mpf)
+                assert got == w.profile_mp(mp.mpf(r)) / mp.mpf(w.mass)
+
     def test_precision_past_a_double_tail(self):
         # 10^-324 is 0.0 as a double, below every tail bound; the cut stops
         # at the smallest normal double instead of failing
