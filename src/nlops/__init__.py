@@ -16,7 +16,7 @@ from nlops.operators import (
     sym_grad,
     scalar_derivative,
 )
-from nlops.weights import RadialWeight, ConcentratingFamily
+from nlops.weights import RadialWeight
 from nlops.fields import TorusField
 from nlops.measures import MeasureField, AreaIntegrand
 
@@ -30,7 +30,6 @@ __all__ = [
     "sym_grad",
     "scalar_derivative",
     "RadialWeight",
-    "ConcentratingFamily",
     "TorusField",
     "MeasureField",
     "AreaIntegrand",

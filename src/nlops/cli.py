@@ -193,27 +193,16 @@ def build_weight(cfg: ExperimentConfig) -> weights.RadialWeight:
     return weights.normalize(w) if normalize else w
 
 
-def parse_terms(text: str, n: int, dim_v: int) -> list:
+def parse_terms(text: str) -> list:
     """Parse 'm1 m2 | c1 c2; ...' into (frequency, coefficient) pairs.
 
-    Coefficients use Python complex syntax (e.g. ``0.5-0.25j``).
+    Coefficients use Python complex syntax (e.g. ``0.5-0.25j``).  Raises
+    ValueError on a term that is not two bar-separated lists of numbers.
     """
     terms = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        try:
-            mpart, cpart = chunk.split("|")
-            mvec = tuple(int(tok) for tok in mpart.split())
-            cvec = [complex(tok) for tok in cpart.split()]
-        except ValueError:
-            raise ConfigError(f"cannot parse field term {chunk!r} (want 'm1 .. mn | c1 .. cd')")
-        if len(mvec) != n or len(cvec) != dim_v:
-            raise ConfigError(f"field term {chunk!r} does not match n={n}, dim_v={dim_v}")
-        terms.append((mvec, cvec))
-    if not terms:
-        raise ConfigError("field term list is empty")
+    for chunk in filter(None, map(str.strip, text.split(";"))):
+        mpart, cpart = chunk.split("|")
+        terms.append((tuple(int(tok) for tok in mpart.split()), [complex(tok) for tok in cpart.split()]))
     return terms
 
 
@@ -221,9 +210,11 @@ def build_fields(cfg: ExperimentConfig, op: operators.FirstOrderOperator, rng) -
     """The fields of a run: ``[field] count`` random fields drawn in sequence
     from ``rng`` (``kind = random``), else the one given or default field."""
     N = cfg.run("n_grid")
-    fits = lambda terms: all(max(map(abs, m)) < N // 2 and np.isfinite(c).all() for m, c in terms)
+    fits = lambda terms: len(terms) > 0 and all(
+        len(m) == op.n and len(c) == op.dim_v and max(map(abs, m)) < N // 2 and np.isfinite(c).all() for m, c in terms
+    )
     rule = f"';'-separated 'm | c' terms of {op.n} integer(s) |m_i| < {N // 2} and {op.dim_v} finite coefficient(s)"
-    terms = _setting(cfg, "field", "terms", None, (lambda text: parse_terms(text, op.n, op.dim_v), fits, rule))
+    terms = _setting(cfg, "field", "terms", None, (parse_terms, fits, rule))
     if terms is not None:
         return [fields.trig_field_from_coeffs(op.n, N, op.dim_v, terms)]
     if _setting(cfg, "field", "kind", "default", choice(("default", "random"))) == "random":
@@ -329,12 +320,14 @@ def cmd_multiplier(cfg: ExperimentConfig, rng) -> tuple:
 def cmd_localize(cfg: ExperimentConfig, rng) -> tuple:
     op = build_operator(cfg)
     us = build_fields(cfg, op, rng)
-    if _setting(cfg, "weight", "preset", "annulus", choice(("annulus", "bump"))) == "bump":
-        fam = weights.rescaled_family(weights.bump(op.n))
-    else:
-        fam = weights.annulus_family()
+    preset = _setting(cfg, "weight", "preset", "annulus", choice(("annulus", "bump")))
     p, eps_list = cfg.run("p"), cfg.run("eps_list")
-    if op.n != fam(eps_list[0]).n:
+    if preset == "bump":
+        base = weights.normalize(weights.bump(op.n))
+        fam, family = weights.rescaled_family(base), f"rescaled-{base.name}"
+    elif op.n == 1:
+        fam, family = weights.annulus, "annulus"
+    else:
         raise ConfigError("localization family dimension does not match the operator")
     table = fields.localization_table(op, us, fam, float(p), eps_list)
     slack = 1.0 + cfg.tolerance("localize_monotone_slack")
@@ -344,7 +337,7 @@ def cmd_localize(cfg: ExperimentConfig, rng) -> tuple:
     if len(table) > 1 and table[-2][1]:
         summary += f", last ratio {err / table[-2][1]:.4f}"
     summary += ")"
-    return ok, summary, ["eps", "lp_error"], table, [("family", fam.name), ("p", p)]
+    return ok, summary, ["eps", "lp_error"], table, [("family", family), ("p", p)]
 
 
 def cmd_kernel_check(cfg: ExperimentConfig, rng) -> tuple:

@@ -369,7 +369,7 @@ def apply_radial_direct(
 def lp_norm(u: TorusField, p) -> float:
     """L^p norm over the torus (uniform grid measure, Euclidean fiber norm)."""
     fiber = np.sqrt(np.sum(u.values**2, axis=-1))
-    if p == np.inf or p == "inf":
+    if p == np.inf:
         return float(np.max(fiber))
     p = float(p)
     if p < 1:
@@ -452,12 +452,14 @@ def localization_table(
     """Rows (eps, mean of ||A_w(eps) u - A u||_p over the fields ``us``) for
     a concentrating weight family.
 
-    Each eps builds one weight and one multiplier cache, which the fields
-    fill in order; the row error is the sum of their errors, in order, over
-    their count.
+    ``family`` is any function eps -> RadialWeight whose members have unit
+    mass and tails vanishing as eps -> 0, such as ``weights.annulus`` or
+    ``weights.rescaled_family`` of a normalized base.  Each eps builds one
+    weight and one multiplier cache, which the fields fill in order; the row
+    error is the sum of their errors, in order, over their count.
 
     The paper states localization without a rate; the rate comes from the
-    family.  For ``annulus_family`` (n=1) the multiplier is the sine-integral
+    family.  For ``weights.annulus`` (n=1) the multiplier is the sine-integral
     closed form [Si(4 pi eps xi) - Si(2 pi eps xi)] / (2 pi eps xi)
     = 1 - (7/18)(2 pi eps xi)^2 + O(eps^4 xi^4), from the second moment
     int rho h^2 dh = 7 eps^2 / 3, so the p=2 row is

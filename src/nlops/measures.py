@@ -397,7 +397,6 @@ class AreaIntegrand:
 
     g: Callable[[np.ndarray], np.ndarray]
     g_infty: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    name: str = "custom"
 
     def recession(self, z: np.ndarray) -> np.ndarray:
         if self.g_infty is not None:
@@ -419,7 +418,7 @@ def area_integrand(shifted: bool = False) -> AreaIntegrand:
     def g_inf(z):
         return np.sqrt(np.sum(np.asarray(z, float) ** 2, axis=-1))
 
-    return AreaIntegrand(g=g, g_infty=g_inf, name="area-shifted" if shifted else "area")
+    return AreaIntegrand(g=g, g_infty=g_inf)
 
 
 def abs_integrand() -> AreaIntegrand:
@@ -428,7 +427,7 @@ def abs_integrand() -> AreaIntegrand:
     def g(z):
         return np.sqrt(np.sum(np.asarray(z, float) ** 2, axis=-1))
 
-    return AreaIntegrand(g=g, g_infty=g, name="abs")
+    return AreaIntegrand(g=g, g_infty=g)
 
 
 def area_functional(mu: MeasureField, f: AreaIntegrand) -> float:

@@ -133,12 +133,14 @@ def _bisect_tail(w: RadialWeight, threshold: float) -> float:
         hi *= 2.0
         if hi > 1e9:
             raise WeightError("tail bound does not reach the truncation threshold")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
+    # a midpoint on an end of the bracket would leave it as it is from then on
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
         if w.tail_bound(mid) < threshold:
             hi = mid
         else:
             lo = mid
+        mid = 0.5 * (lo + hi)
     return hi
 
 
@@ -172,11 +174,6 @@ def superposition_measure(w: RadialWeight, *, delta: float = 0.0) -> tuple[np.nd
     r = np.concatenate([nodes for nodes, _ in rules])
     q = np.concatenate([weights for _, weights in rules])
     return r, q * (unit_ball_volume(w.n) * w.n * r ** (w.n - 1) * w.profile(r))
-
-
-def mass(w: RadialWeight) -> float:
-    """Total mass, i.e. the L1 norm of the weight on R^n (cached at init)."""
-    return w.mass
 
 
 def tail(w: RadialWeight, delta: float) -> float:
@@ -602,23 +599,8 @@ def bump(n: int, radius: float = 0.3) -> RadialWeight:
     )
 
 
-def annulus_family() -> "ConcentratingFamily":
-    """The family eps -> uniform annulus weight (already probability mass).
-
-    The paper states localization (A_w(eps) u -> A u) without a rate.  For
-    this even profile the rate is quadratic: the multiplier has the
-    sine-integral closed form [Si(4 pi eps xi) - Si(2 pi eps xi)] / (2 pi eps xi)
-    = 1 - (7/18)(2 pi eps xi)^2 + O(eps^4 xi^4), set by the second moment
-    int rho h^2 dh = 7 eps^2 / 3 (over the whole line).  The L^2 localization
-    error is therefore (7/18) eps^2 ||u'''||_2 (1 + O(eps^2)), so halving eps
-    divides it by 4 in the limit.
-    """
-    return ConcentratingFamily(generator=annulus, name="annulus")
-
-
-def rescaled_family(base: RadialWeight) -> "ConcentratingFamily":
-    """Family eps -> eps^(-n) rhohat(r/eps) built from a normalized base weight."""
-    base = normalize(base)
+def rescaled_family(base: RadialWeight) -> Callable[[float], RadialWeight]:
+    """Family eps -> eps^(-n) rhohat(r/eps); each member has the base's mass."""
 
     def gen(eps: float) -> RadialWeight:
         if eps <= 0:
@@ -638,22 +620,7 @@ def rescaled_family(base: RadialWeight) -> "ConcentratingFamily":
             params=dict(base.params, eps=eps),
         )
 
-    return ConcentratingFamily(generator=gen, name=f"rescaled-{base.name}")
-
-
-@dataclass(frozen=True)
-class ConcentratingFamily:
-    """Family eps -> probability weight concentrating at the origin.
-
-    Members must have unit mass and tails vanishing as eps -> 0; both
-    properties are exercised by the test suite on a grid of (eps, delta).
-    """
-
-    generator: Callable[[float], RadialWeight]
-    name: str = "family"
-
-    def __call__(self, eps: float) -> RadialWeight:
-        return self.generator(eps)
+    return gen
 
 
 def _annulus_preset(n: int = 1, eps: float = 0.1) -> RadialWeight:

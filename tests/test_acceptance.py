@@ -42,7 +42,6 @@ from nlops.measures import (
 from nlops.operators import cancellation_residual, preset, scalar_derivative
 from nlops.weights import (
     annulus,
-    annulus_family,
     bump,
     fractional,
     gaussian_modification,
@@ -181,16 +180,16 @@ def test_criterion_05_norm_bounds():
 
 def test_criterion_06_localization_rate():
     # The annulus error is (7/18) eps^2 ||u'''||_2 (1 + O(eps^2)) (see
-    # annulus_family), so the halving ratio tends to 1/4 from above.  The
+    # localization_table), so the halving ratio tends to 1/4 from above.  The
     # bracket is 1/4 +- 20 %; a linear rate (ratio 1/2) fails it.
     t0 = time.perf_counter()
     rng = np.random.default_rng(6)
     u = random_trig_field(1, 64, 1, rng, max_degree=2)
     eps_list = [0.2, 0.1, 0.05, 0.025]
-    table = localization_table(D1, [u], annulus_family(), 2, eps_list)
+    table = localization_table(D1, [u], annulus, 2, eps_list)
     errs = {eps: err for eps, err in table}
     ratio = errs[0.025] / errs[0.05]
-    w = annulus_family()(0.01)
+    w = annulus(0.01)
     norm_ratio = lp_norm(apply_radial_spectral(D1, u, w), 2) / lp_norm(apply_local(D1, u), 2)
     dt = time.perf_counter() - t0
     # independent route: Parseval over the field's nonzero Fourier modes with

@@ -17,7 +17,7 @@ from nlops import fields
 from nlops.cli import COMMANDS, ExperimentConfig, main, parse_terms, write_csv
 from nlops.fields import localization_table, random_trig_field
 from nlops.operators import preset
-from nlops.weights import annulus_family
+from nlops.weights import annulus
 
 SCI = re.compile(r"-?\d\.\d{16}e[+-]\d{2,3}$")
 
@@ -88,6 +88,25 @@ def test_cli_import_leaves_scipy_out():
     env = dict(os.environ, PYTHONPATH=str(Path(nlops.__file__).parents[1]))
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "[]"
+
+
+def test_every_exported_name_resolves():
+    for name in nlops.__all__:
+        getattr(nlops, name)
+
+
+def test_default_localize_builds_one_annulus_per_eps(tmp_path, monkeypatch):
+    # the annulus family is weights.annulus itself: one member per eps of the
+    # default eps_list, and none built only to read its dimension
+    made = []
+
+    def counted(eps):
+        made.append(eps)
+        return annulus(eps)
+
+    monkeypatch.setattr("nlops.weights.annulus", counted)
+    assert run(tmp_path, "localize") == 0
+    assert made == [0.2, 0.1, 0.05, 0.025]
 
 
 def test_dense_multiplier_and_linf_counterexample_leave_numpy_ma_out(tmp_path):
@@ -263,6 +282,8 @@ class TestExitStatuses:
             ),
             ("localize", "[field]\nterms = 1 0 | 1 ; 2 | 1\n", "[field] terms"),
             ("localize", "[field]\nterms = ;\n", "[field] terms"),
+            ("localize", "[field]\nterms = 1 | x\n", "[field] terms"),
+            ("localize", "[field]\nterms = 1 | 1 | 1\n", "[field] terms"),
         ],
         ids=[
             "num_terms-0",
@@ -281,6 +302,8 @@ class TestExitStatuses:
             "localize-annulus-n-2",
             "terms-wrong-length",
             "terms-empty",
+            "terms-bad-token",
+            "terms-two-bars",
         ],
     )
     def test_bad_field_or_weight_is_config_error(self, tmp_path, capsys, subcommand, text, names):
@@ -288,8 +311,8 @@ class TestExitStatuses:
         # rejects or lacks a required parameter of, a family of another
         # dimension than the operator, a non-finite field coefficient, a
         # field frequency on the Nyquist row (N = 64), a term of the wrong
-        # length or an empty term list is a configuration error, not a
-        # numerical failure
+        # length, an empty term list, a term token that is not a number or a
+        # term with two bars is a configuration error, not a numerical failure
         cfg = write_config(tmp_path, text)
         assert run(tmp_path, subcommand, "--config", cfg) == 2
         err = capsys.readouterr().err
@@ -654,7 +677,7 @@ class TestFieldCount:
         totals = np.zeros(len(eps_list))
         for _ in range(3):
             u = random_trig_field(1, 32, 1, rng, max_degree=3, num_terms=6)
-            totals += [err for _, err in localization_table(op, [u], annulus_family(), 2.0, eps_list)]
+            totals += [err for _, err in localization_table(op, [u], annulus, 2.0, eps_list)]
         assert got == list(totals / 3)
 
 
@@ -672,7 +695,7 @@ class TestConfigParsing:
             assert capsys.readouterr().out.startswith(f"PASS {subcommand}")
 
     def test_terms_roundtrip(self):
-        terms = parse_terms("1 0 | 0.5-0.25j 0; 2 1 | 0 1j", 2, 2)
+        terms = parse_terms("1 0 | 0.5-0.25j 0; 2 1 | 0 1j")
         assert terms[0][0] == (1, 0)
         assert terms[0][1][0] == 0.5 - 0.25j
         assert terms[1][0] == (2, 1)

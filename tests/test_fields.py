@@ -44,7 +44,6 @@ from nlops.operators import (
 from nlops.quadrature import sphere_quadrature, sphere_surface
 from nlops.weights import (
     annulus,
-    annulus_family,
     bump,
     gaussian_modification,
     mu_hat,
@@ -735,7 +734,7 @@ class TestLocalization:
         # with one Fourier mode the table reduces to ||A u||_2 |1 - mu(1)|;
         # values pinned from the sine-integral closed form
         u = sine_field()
-        table = localization_table(D1, [u], annulus_family(), 2, [0.05, 0.025])
+        table = localization_table(D1, [u], annulus, 2, [0.05, 0.025])
         amp = 2 * pi / sqrt(2.0)
         assert abs(table[0][1] - amp * 3.788196056994253e-02) < 1e-12
         assert abs(table[1][1] - amp * 9.564047721086988e-03) < 1e-12
@@ -746,7 +745,7 @@ class TestLocalization:
         # oscillation of the annulus multiplier
         rng = np.random.default_rng(5)
         u = random_trig_field(1, 64, 1, rng, max_degree=2)
-        table = localization_table(D1, [u], annulus_family(), 2, [0.1, 0.05, 0.025])
+        table = localization_table(D1, [u], annulus, 2, [0.1, 0.05, 0.025])
         errs = [row[1] for row in table]
         assert all(b < a for a, b in zip(errs, errs[1:]))
 
@@ -754,11 +753,10 @@ class TestLocalization:
         # the second copy of the field finds every shell in the eps's cache,
         # and the mean of two equal errors is that error
         made, filled = [], []
-        family = annulus_family()
 
         def counted_family(eps):
             made.append(eps)
-            return family(eps)
+            return annulus(eps)
 
         def counted(w, xis):
             filled.append(xis)
@@ -769,7 +767,7 @@ class TestLocalization:
         table = localization_table(D1, [u, u], counted_family, 2, [0.2, 0.1])
         assert made == [0.2, 0.1]
         assert len(filled) == 2
-        assert table == localization_table(D1, [u], family, 2, [0.2, 0.1])
+        assert table == localization_table(D1, [u], annulus, 2, [0.2, 0.1])
 
 
 def flagged(scan, flag="zero"):

@@ -4,6 +4,7 @@ independent sine-integral and arbitrary-precision oracles."""
 import tracemalloc
 from dataclasses import replace
 from math import pi
+from types import SimpleNamespace
 
 import mpmath as mp
 import numpy as np
@@ -21,11 +22,9 @@ from nlops.weights import (
     WEIGHT_PRESETS,
     WeightError,
     annulus,
-    annulus_family,
     bump,
     fractional,
     gaussian_modification,
-    mass,
     mu_hat,
     mu_hat_highprec,
     mu_hat_scan,
@@ -36,6 +35,7 @@ from nlops.weights import (
     superposition_measure,
     tail,
     truncation_radius,
+    _bisect_tail,
     _multiplier,
     _upper_gamma_half,
 )
@@ -95,10 +95,6 @@ class TestMasses:
         # agreement is only at the tail-cutoff scale
         assert abs(normalize(gaussian_modification(2, 0.7)).mass - 1.0) < 1e-9
 
-    def test_mass_function_matches_cached(self):
-        w = bump(2)
-        assert mass(w) == w.mass
-
 
 class TestTails:
     def test_annulus_tail_halves_at_midpoint(self):
@@ -149,6 +145,36 @@ class TestTails:
         assert truncation_radius(w, 1e-9) == R
         assert len(calls) == bisected
         assert truncation_radius(base, 1e-9) == R
+
+    @pytest.mark.parametrize(
+        "w",
+        [
+            gaussian_modification(1, 0.05),
+            normalize(gaussian_modification(2, 0.3)),
+            rescaled_family(normalize(gaussian_modification(3, 1.0)))(0.1),
+        ],
+        ids=["n1-sigma0.05", "normalized-n2-sigma0.3", "rescaled-n3"],
+    )
+    @pytest.mark.parametrize("threshold", [1e-10, 1e-8, 1e-35])
+    def test_bisection_stops_when_the_bracket_stops_moving(self, w, threshold):
+        # once a midpoint falls on an end of the bracket, further halvings
+        # leave it as it is: the bisection stops there, on the radius that
+        # 200 halvings reach
+        calls = []
+
+        def counted(delta):
+            calls.append(delta)
+            return w.tail_bound(delta)
+
+        R = _bisect_tail(SimpleNamespace(tail_bound=counted), threshold)
+        assert len(calls) <= 64
+        lo, hi = 1e-6, 1.0
+        while w.tail_bound(hi) >= threshold:
+            hi *= 2.0
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (lo, mid) if w.tail_bound(mid) < threshold else (mid, hi)
+        assert R == hi
 
     @given(st.floats(min_value=0.05, max_value=1.5), st.floats(min_value=0.05, max_value=1.5))
     @settings(max_examples=30, deadline=None)
@@ -451,19 +477,17 @@ class TestSuperposition:
 
 class TestFamilies:
     def test_annulus_family_members_are_probabilities(self):
-        fam = annulus_family()
         for eps in (0.2, 0.05, 0.0125):
-            assert abs(fam(eps).mass - 1.0) < 1e-13
+            assert abs(annulus(eps).mass - 1.0) < 1e-13
 
     def test_family_tails_vanish(self):
-        fam = annulus_family()
         for delta in (0.1, 0.02):
-            tails = [tail(fam(eps), delta) for eps in (0.2, 0.04, 0.008)]
+            tails = [tail(annulus(eps), delta) for eps in (0.2, 0.04, 0.008)]
             assert tails[-1] == 0.0
             assert all(b <= a + 1e-12 for a, b in zip(tails, tails[1:]))
 
     def test_rescaled_bump_family(self):
-        fam = rescaled_family(bump(1, 0.3))
+        fam = rescaled_family(normalize(bump(1, 0.3)))
         for eps in (0.5, 0.1):
             member = fam(eps)
             assert abs(member.mass - 1.0) < 1e-10
@@ -473,7 +497,7 @@ class TestFamilies:
     def test_rescaled_unbounded_family(self, n):
         # the members of an unbounded base carry its tail bound, rescaled;
         # their truncation radius and tails come from it
-        fam = rescaled_family(gaussian_modification(n, 1.0))
+        fam = rescaled_family(normalize(gaussian_modification(n, 1.0)))
         members = [fam(eps) for eps in (0.4, 0.2, 0.1, 0.05)]
         for member in members:
             assert abs(member.mass - 1.0) < 1e-8
@@ -486,7 +510,7 @@ class TestFamilies:
 
     def test_family_rejects_nonpositive_eps(self):
         with pytest.raises(ValueError):
-            rescaled_family(bump(1))(0.0)
+            rescaled_family(normalize(bump(1)))(0.0)
 
 
 class TestValidation:
