@@ -253,6 +253,9 @@ def write_csv(path: Path, subcommand: str, cfg: ExperimentConfig, header, rows, 
         template = ",".join("%.16e" if isinstance(x, float) else "%s" for x in rows[0])
         lines.extend(template % tuple(row) for row in rows)
     path.parent.mkdir(parents=True, exist_ok=True)
+    # a new file, not the old one rewritten: ext4 flushes a truncated file
+    # on close, and a link to the old artifact keeps its bytes
+    path.unlink(missing_ok=True)
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -331,7 +334,7 @@ def cmd_localize(cfg: ExperimentConfig, rng) -> tuple:
         raise ConfigError("localization family dimension does not match the operator")
     table = fields.localization_table(op, us, fam, float(p), eps_list)
     slack = 1.0 + cfg.tolerance("localize_monotone_slack")
-    ok = all(b <= slack * a for (_, a), (_, b) in zip(table, table[1:]))
+    ok = all(isfinite(e) for _, e in table) and all(b <= slack * a for (_, a), (_, b) in zip(table, table[1:]))
     eps, err = table[-1]
     summary = f"error decreases along eps (final {err:.6e} at eps={eps:g}"
     if len(table) > 1 and table[-2][1]:
@@ -445,7 +448,8 @@ def cmd_atomic_demo(cfg: ExperimentConfig, rng) -> tuple:
     vals = {probe: val for probe, val, _ in rows}
     jump = vals.get((0.01, 0.0), 0.0) - vals.get((-0.01, 0.0), 0.0)
     summary = f"value jumps by {jump:.6f} across the origin along the x-axis (discontinuous ball average)"
-    return True, summary, ["probe_x", "probe_y", "value", "atoms_inside"], csv_rows, [("s", s)]
+    ok = isfinite(jump) and all(map(isfinite, vals.values()))
+    return ok, summary, ["probe_x", "probe_y", "value", "atoms_inside"], csv_rows, [("s", s)]
 
 
 COMMANDS = {
@@ -491,7 +495,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"CONFIG ERROR: {exc}", file=sys.stderr)
         return 2
-    except (measures.MeasureError, weights.WeightError, ValueError, OverflowError, MemoryError) as exc:
+    except (measures.MeasureError, weights.WeightError, ValueError, ArithmeticError, MemoryError, OSError) as exc:
         print(f"ERROR {name}: {exc}", file=sys.stderr)
         return 1
     print(f"{'PASS' if ok else 'FAIL'} {name}: {summary}")

@@ -8,12 +8,13 @@ route; for the four averaged operators, pruning below SPECTRUM_FLOOR of its
 peak; one inverse real FFT.  Fields are real, so the input and output
 spectra are Hermitian, and every step runs on the half spectrum m_n >= 0
 alone.  Inside the pipeline the spectra are indexed fiber-first,
-(dim,) + (N, ..., N/2+1): each coefficient matrix A_i acts on all modes in
-one 2-D product, and the fiber maximum that pruning reads, the multiplier
-and the inverse FFT run over contiguous whole-grid rows.  In between, the
-multiplier routes scale by a radial multiplier (the ball transform, or the
-weight's Bessel multiplier) through a table over the frequency shells |m|
-that carry spectrum, filled by one call.
+(dim,) + (N, ..., N/2+1), one per direction and transformed in place: each
+nonzero coefficient entry A_i[w, v] adds one real symbol row times the
+contiguous input row v into output row w, and the fiber maximum that pruning
+reads, the multiplier and the inverse FFT run over contiguous whole-grid
+rows.  In between, the multiplier routes scale by a radial multiplier (the
+ball transform, or the weight's Bessel multiplier) through a table over the
+frequency shells |m| that carry spectrum, filled by one call.
 The direct (quadrature) routes, independent cross-checks, replace m by the
 sphere rule's difference-quotient symbol, a sum of sines that tends to m as
 the scale goes to 0, and never evaluate a closed-form multiplier.  So every
@@ -149,19 +150,18 @@ def _check_compat(op: FirstOrderOperator, u: TorusField):
 
 def _contract(op: FirstOrderOperator, uhat: np.ndarray, k: np.ndarray) -> np.ndarray:
     """2 pi i sum_i k_i A_i uhat, mode by mode, on fiber-first spectra:
-    ``uhat`` (dim_v, ...) and ``k`` (n, ...) give (dim_w, ...)."""
-    # the forward FFT keeps the field's fiber-last memory order, so this is
-    # the one transposing copy of the input spectrum
-    flat = uhat.reshape(op.dim_v, -1)
-    out = np.zeros((op.dim_w, flat.shape[1]), dtype=complex)
-    term = np.empty_like(out)
-    for a, k_i in zip(op.coeffs, k.reshape(op.n, -1)):
-        # out += k_i * (A_i uhat): one 2-D product over every mode at once
-        np.matmul(a, flat, out=term)
-        np.multiply(k_i, term, out=term)
-        out += term
+    ``uhat`` (dim_v, ...) and ``k`` (n, ...) give (dim_w, ...).
+
+    One product per nonzero coefficient entry (w, v): the real symbol row
+    sum_i A_i[w, v] k_i times the contiguous input row ``uhat[v]``, added
+    into ``out[w]``.
+    """
+    coeffs = np.stack(op.coeffs)
+    out = np.zeros((op.dim_w,) + uhat.shape[1:], dtype=complex)
+    for w, v in zip(*np.nonzero(np.any(coeffs != 0.0, axis=0))):
+        out[w] += np.tensordot(coeffs[:, w, v], k, axes=1) * uhat[v]
     out *= 2j * pi
-    return out.reshape((op.dim_w,) + uhat.shape[1:])
+    return out
 
 
 def _apply(
@@ -172,22 +172,26 @@ def _apply(
 
     The field is real, so its spectrum and the output's are Hermitian: every
     step runs on the half spectrum of ``np.fft.rfftn`` (last frequency
-    m_n >= 0), about half the modes of the full grid, and ``np.fft.irfftn``
-    restores the other half.  Spectra are fiber-first, (dim,) + modes:
-    ``_contract`` makes one 2-D product per coefficient matrix, and
-    ``TorusField`` copies the inverse transform back to its fiber-last
-    layout.  Passing a hook, as the averaged operators do, prunes the
-    spectrum below SPECTRUM_FLOOR of the peak of its fiber maximum: FFT
-    round-off leaves ~1e-16 dust on every frequency of a band-limited field,
-    which contributes less than that to any output.  A non-finite field has
-    no finite peak and is rejected.  ``kernel`` maps the remaining
+    m_n >= 0), about half the modes of the full grid.  Spectra are
+    fiber-first, (dim,) + modes, and one of each direction is allocated: the
+    field is copied fiber-first and contiguous and transformed into its
+    spectrum in place; ``_contract`` builds the output spectrum row by row;
+    the inverse runs ``np.fft.ifft`` in place over every axis but the last,
+    then one ``np.fft.irfft`` along it restores the other half, and
+    ``TorusField`` copies the result back to its fiber-last layout.  Passing
+    a hook, as the averaged operators do, prunes the spectrum below
+    SPECTRUM_FLOOR of the peak of its fiber maximum: FFT round-off leaves
+    ~1e-16 dust on every frequency of a band-limited field, which
+    contributes less than that to any output.  A non-finite field has no
+    finite peak and is rejected.  ``kernel`` maps the remaining
     frequencies, shape (k, n), to the symbol that replaces m; ``multiplier``
     maps the mask over ``_grid(n, N).shells`` of the shells that still carry
     spectrum to their values, in shell order, scattered back over them.
     """
     axes = tuple(range(1, u.n + 1))
     grid = _grid(u.n, u.N)
-    uhat = np.fft.rfftn(np.moveaxis(u.values, -1, 0), axes=axes)
+    uhat = np.empty((u.dim_v,) + grid.norms.shape, dtype=complex)
+    np.fft.rfftn(np.ascontiguousarray(np.moveaxis(u.values, -1, 0)), axes=axes, out=uhat)
     out = _contract(op, uhat, grid.m)
     if kernel is None:
         # only a kernel reads the input spectrum again; free it before the
@@ -212,7 +216,9 @@ def _apply(
             table = np.zeros(grid.shells.size)
             table[present] = multiplier(present)
             out *= np.where(active, table[grid.shell_of], 0.0)
-    vals = np.fft.irfftn(out, s=(u.N,) * u.n, axes=axes)
+    for axis in axes[:-1]:
+        np.fft.ifft(out, axis=axis, out=out)
+    vals = np.fft.irfft(out, n=u.N, axis=-1)
     return TorusField(n=u.n, N=u.N, values=np.moveaxis(vals, 0, -1))
 
 

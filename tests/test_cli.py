@@ -533,6 +533,39 @@ class TestExitStatuses:
         assert capsys.readouterr().err.startswith(f"ERROR {subcommand}: ")
         assert not list(tmp_path.glob("*.csv"))
 
+    def test_underflowing_width_exits_one(self, tmp_path, capsys):
+        # sigma**2 underflows to 0 in the Gaussian's tail bound, which then
+        # divides by it
+        cfg = write_config(tmp_path, "[weight]\nsigma = 1e-200\n")
+        assert run(tmp_path, "multiplier", "--config", cfg) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR multiplier: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("blocker", ["out-is-a-file", "artifact-is-a-directory"])
+    def test_unwritable_artifact_path_exits_one(self, tmp_path, capsys, blocker):
+        out = tmp_path / "run"
+        if blocker == "out-is-a-file":
+            out.write_text("")
+        else:
+            (out / "zeros.csv").mkdir(parents=True)
+        assert main(["zeros", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR zeros: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "subcommand,text",
+        [("localize", "[run]\neps_list = 1e-300\n"), ("atomic-demo", "[atomic]\ns = 1e-300\n")],
+        ids=["localize-one-tiny-eps", "atomic-demo-tiny-s"],
+    )
+    def test_non_finite_result_fails(self, tmp_path, capsys, subcommand, text):
+        # a scale of 1e-300 leaves NaN in the result; one localize row would
+        # otherwise make the monotone check vacuous
+        cfg = write_config(tmp_path, text)
+        with np.errstate(all="ignore"):
+            assert run(tmp_path, subcommand, "--config", cfg) == 1
+        out = capsys.readouterr().out
+        assert out.startswith(f"FAIL {subcommand}: ") and "nan" in out
+
 
 def test_annulus_preset_multiplier(tmp_path, capsys):
     cfg = write_config(tmp_path, "[weight]\npreset = annulus\n")
@@ -610,6 +643,18 @@ class TestCsvFormat:
     def test_defaults_echoed_without_config(self, tmp_path):
         assert run(tmp_path, "zeros") == 0
         assert "# config config = <defaults>" in (tmp_path / "zeros.csv").read_text()
+
+    def test_rerun_replaces_the_artifact(self, tmp_path):
+        # a new file at the artifact's path, not the old one rewritten: a
+        # hard link to the old artifact keeps its bytes
+        old = tmp_path / "old.csv"
+        old.write_text("old\n")
+        out = tmp_path / "run"
+        out.mkdir()
+        os.link(old, out / "zeros.csv")
+        assert run(out, "zeros") == 0
+        assert old.read_text() == "old\n"
+        assert (out / "zeros.csv").read_text().startswith("# tool: nlops")
 
 
 def per_value_cell(x) -> str:

@@ -2,6 +2,7 @@
 weighted radial averages, cross-checked between multiplier and quadrature
 routes and against closed forms."""
 
+import hashlib
 from math import pi, sin, sqrt
 
 import numpy as np
@@ -32,11 +33,13 @@ from nlops.fields import (
     trig_field_from_coeffs,
 )
 from nlops.operators import (
+    PRESETS,
     FirstOrderOperator,
     adjoint,
     curl3,
     divergence,
     gradient,
+    preset,
     scalar_derivative,
     sym_grad,
     wave_rank,
@@ -581,8 +584,8 @@ class TestGridFacts:
     )
     @pytest.mark.parametrize("spectrum", ["dense", "sparse"])
     def test_non_square_fibers_match_per_call_grid_code(self, op, spectrum):
-        # dim_v != dim_w (and the 1D scalar fiber): every fiber-first product
-        # and transpose must land each component where the fiber-last code does
+        # dim_v != dim_w (and the 1D scalar fiber): every coefficient entry's
+        # product must land each component where the fiber-last code does
         N = TestRadial.CASES[op.n][1]
         rng = np.random.default_rng(50 + op.dim_v + op.dim_w)
         self.assert_warm_routes_match(op, N, spectrum, rng)
@@ -646,50 +649,60 @@ class TestHalfSpectrum:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_one_real_fft_each_way_per_application(self, n, monkeypatch):
+        # forward: one rfftn into its preallocated spectrum; back: n - 1
+        # complex passes in place over the leading axes, then one irfft
         op, N, order = TestRadial.CASES[n]
         u = random_trig_field(n, N, op.dim_v, np.random.default_rng(70 + n), max_degree=3)
         calls = []
-        for name in ("fftn", "ifftn", "rfftn", "irfftn"):
+        for name in ("fftn", "ifftn", "rfftn", "irfftn", "fft", "ifft", "rfft", "irfft"):
 
-            def counted(*args, _name=name, _fft=getattr(np.fft, name), **kwargs):
-                calls.append(_name)
-                return _fft(*args, **kwargs)
+            def counted(a, *args, _name=name, _fft=getattr(np.fft, name), **kwargs):
+                in_place = kwargs.get("out") is a
+                calls.append((_name, kwargs.get("out") is not None, in_place))
+                return _fft(a, *args, **kwargs)
 
             monkeypatch.setattr(np.fft, name, counted)
         for name, (route, _) in every_route(op, u, order).items():
             calls.clear()
             route()
-            assert calls == ["rfftn", "irfftn"], name
+            assert calls == [("rfftn", True, False)] + [("ifft", True, True)] * (n - 1) + [("irfft", False, False)], name
 
 
 class TestFiberFirst:
-    """The pipeline holds spectra fiber-first: one 2-D product per
-    coefficient matrix over all modes, and TorusField's fiber-last layout
-    restored on the way out."""
+    """The pipeline holds spectra fiber-first: one product of a real symbol
+    row and a contiguous input row per nonzero coefficient entry, and
+    TorusField's fiber-last layout restored on the way out."""
 
     @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_one_2d_product_per_coefficient_matrix(self, n, monkeypatch):
+    def test_one_product_per_coefficient_entry(self, n, monkeypatch):
         op, N, order = TestRadial.CASES[n]
         u = random_trig_field(n, N, op.dim_v, np.random.default_rng(80 + n), max_degree=3)
         w, cache = normalize(bump(n)), {}
         apply_radial_spectral(op, u, w, cache)
-        shapes = []
+        grid = _grid(n, N)
+        entries = np.count_nonzero(np.any(np.stack(op.coeffs) != 0.0, axis=0))
+        rows = []
 
-        def counted(a, b, *args, _matmul=np.matmul, **kwargs):
-            shapes.append((np.ndim(a), np.ndim(b)))
-            return _matmul(a, b, *args, **kwargs)
+        def counted(a, b, *args, _tensordot=np.tensordot, **kwargs):
+            # the symbol rows: a coefficient entry's n values against the
+            # grid frequencies or the (n, k) symbol of the active modes; the
+            # direct symbol's own sums run over 3-D sine blocks
+            if np.shape(a) == (n,) and (b is grid.m or np.ndim(b) == 2 and len(b) == n):
+                rows.append(np.shape(b)[1:])
+            return _tensordot(a, b, *args, **kwargs)
 
-        monkeypatch.setattr(np, "matmul", counted)
+        monkeypatch.setattr(np, "tensordot", counted)
         apply_radial_spectral(op, u, w, cache)
-        assert shapes == [(2, 2)] * n
+        assert rows == [grid.norms.shape] * entries
         for direct in (
             lambda: apply_spherical_direct(op, u, 0.15, order),
             lambda: apply_radial_direct(op, u, w, order),
         ):
             # the local spectrum, then the symbol's spectrum on the active modes
-            shapes.clear()
+            rows.clear()
             direct()
-            assert shapes == [(2, 2)] * (2 * n)
+            assert rows[:entries] == [grid.norms.shape] * entries
+            assert len(rows) == 2 * entries and len(set(rows[entries:])) == 1 and len(rows[-1]) == 1
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_outputs_keep_the_fiber_last_layout(self, n):
@@ -699,6 +712,127 @@ class TestFiberFirst:
             vals = route().values
             assert vals.shape == (N,) * n + (op.dim_w,), name
             assert vals.flags.c_contiguous and not vals.flags.writeable, name
+
+
+#: The direct routes' sphere orders in the digest test, one odd and one even.
+ROUTE_ORDERS = (7, 8)
+
+
+def preset_route_outputs():
+    """Every route's output bytes for each operator preset at each dimension it
+    supports, on seeded white noise: name -> ``values.tobytes()``.  The grid
+    is 32 points in 1D, 16^2 in 2D and 4^3 in 3D; the direct routes run at
+    the odd and the even sphere order of ``ROUTE_ORDERS``."""
+    grids = {1: 32, 2: 16, 3: 4}
+    outputs = {}
+    for name in sorted(PRESETS):
+        for n in (1, 2, 3):
+            try:
+                op = preset(name, n)
+            except ValueError:
+                continue
+            N, s, w = grids[n], 0.15, normalize(bump(n))
+            rng = np.random.default_rng(100 * n + op.dim_v)
+            u = TorusField(n=n, N=N, values=rng.standard_normal((N,) * n + (op.dim_v,)))
+            got = {
+                "local": apply_local(op, u),
+                "spherical_spectral": apply_spherical_spectral(op, u, s),
+                "radial_spectral": apply_radial_spectral(op, u, w),
+            }
+            for order in ROUTE_ORDERS:
+                got[f"spherical_direct{order}"] = apply_spherical_direct(op, u, s, order)
+                got[f"radial_direct{order}"] = apply_radial_direct(op, u, w, order)
+            outputs.update({f"{name}{n}-{route}": v.values.tobytes() for route, v in got.items()})
+    return outputs
+
+
+#: preset, dimension and route -> SHA-256 of the output values' bytes.
+ROUTE_DIGESTS = {
+    "curl3-local": "9a39faf1cd2d2d2b5455c1175db4b8527e7f630cbacabe27e1281dc7efbcb518",
+    "curl3-spherical_spectral": "228a4df08faf203db49ba04ddba3ead401075b3576b96ff6306d87500a19c2a4",
+    "curl3-radial_spectral": "b41d386302a978e1ba9580bbd9ade58f2acae9b0d01e0452442fe43d75307de4",
+    "curl3-spherical_direct7": "bbdc914a23c6298f13b68749a672e86eb8fe8ab0559a6d8b97f9705ddef30553",
+    "curl3-radial_direct7": "7f1ed27e5011ddc6a8c21d592e8979f6bc8f3065c57c4dbf8c7dcefe1fc02975",
+    "curl3-spherical_direct8": "1d2592bc8c3602824a1c61eb4742e6e0d3fc559813e4b5cda21aeef1ca52052d",
+    "curl3-radial_direct8": "405de352f343cb3e460073cbe9d93c24370418d56d7cd3070d13ed8ff557ce4e",
+    "derivative1-local": "d308e77f3bbc348268328e26b1a62dca1d843000bae5deeac927570c2d3a7666",
+    "derivative1-spherical_spectral": "baec32c0cef889a1072c15b9e3e69bd88c48341917c8567104a700e72c12f614",
+    "derivative1-radial_spectral": "af9160ac31320b41c1a7f608d04b2384eaaf734fdab75b6642dd188cbf62dc7a",
+    "derivative1-spherical_direct7": "7abfd4b3cd48c2c70b6952d3b28f890c550b29fb594a466844a362de93bda6cb",
+    "derivative1-radial_direct7": "4f341f4dd36549fd13f8470f84a5c3f17cb8a955f96ec81015803845975d6209",
+    "derivative1-spherical_direct8": "7abfd4b3cd48c2c70b6952d3b28f890c550b29fb594a466844a362de93bda6cb",
+    "derivative1-radial_direct8": "4f341f4dd36549fd13f8470f84a5c3f17cb8a955f96ec81015803845975d6209",
+    "divergence1-local": "d308e77f3bbc348268328e26b1a62dca1d843000bae5deeac927570c2d3a7666",
+    "divergence1-spherical_spectral": "baec32c0cef889a1072c15b9e3e69bd88c48341917c8567104a700e72c12f614",
+    "divergence1-radial_spectral": "af9160ac31320b41c1a7f608d04b2384eaaf734fdab75b6642dd188cbf62dc7a",
+    "divergence1-spherical_direct7": "7abfd4b3cd48c2c70b6952d3b28f890c550b29fb594a466844a362de93bda6cb",
+    "divergence1-radial_direct7": "4f341f4dd36549fd13f8470f84a5c3f17cb8a955f96ec81015803845975d6209",
+    "divergence1-spherical_direct8": "7abfd4b3cd48c2c70b6952d3b28f890c550b29fb594a466844a362de93bda6cb",
+    "divergence1-radial_direct8": "4f341f4dd36549fd13f8470f84a5c3f17cb8a955f96ec81015803845975d6209",
+    "divergence2-local": "be8d1f1be38d5fed29a99df23f0b08a208283f9d3f56c7787ba60729f03c078a",
+    "divergence2-spherical_spectral": "820155bcd0149b9396f74a026ca67ea3528edfa52a9e40cc9dc83057dfbce4b6",
+    "divergence2-radial_spectral": "49be1625a258bbfae4ddf0a97e73ff995eb22cb1e6eab9bc413465877b955359",
+    "divergence2-spherical_direct7": "52dcee37dd61fe714afa602569ad475b48bc67629d863c3fb90ddaa1c99db863",
+    "divergence2-radial_direct7": "9943722f776a0bfe358ebdcefccc889ded5bed746c1d6e70490a1be0fe14fe7b",
+    "divergence2-spherical_direct8": "9d65e87fa78adf8a16f0681bc634f9f0bc02805f3b210548b3464d737d90847c",
+    "divergence2-radial_direct8": "52f47abd25227429ce8d98fdc4663ace437754dd2c4a987fe0b8d15edce1dde2",
+    "divergence3-local": "4f5fe5cd3322e6eceff1f46f20137b0b701ff1734da1581d2c2964f29b621bb4",
+    "divergence3-spherical_spectral": "0f30b0d6e63443e313ad97cfe9c2e693f11b9135ff7e6060d3a60d41ab0baaa6",
+    "divergence3-radial_spectral": "d587ddd9f02b89ad1ca7fd508b9d011ad4316bd4d3d79ef85d79a5a5d914dc8a",
+    "divergence3-spherical_direct7": "e5c182c6317bcafcaa73e285b71034f7d5487ca3d05da1ea279c83584d34c083",
+    "divergence3-radial_direct7": "db70e4b0ede775a0972ee4e6ff7b0718f51db4dd630103cb6e8bf5b450af235d",
+    "divergence3-spherical_direct8": "a6727031561f43b578be3b1ba4dcf322eb41d95f161881ebb05529188f32d86c",
+    "divergence3-radial_direct8": "3b3c9e81f701313158c3ad78ec544b7dfe45d60c6023c104ecc281ed0290c67c",
+    "gradient1-local": "d308e77f3bbc348268328e26b1a62dca1d843000bae5deeac927570c2d3a7666",
+    "gradient1-spherical_spectral": "baec32c0cef889a1072c15b9e3e69bd88c48341917c8567104a700e72c12f614",
+    "gradient1-radial_spectral": "af9160ac31320b41c1a7f608d04b2384eaaf734fdab75b6642dd188cbf62dc7a",
+    "gradient1-spherical_direct7": "7abfd4b3cd48c2c70b6952d3b28f890c550b29fb594a466844a362de93bda6cb",
+    "gradient1-radial_direct7": "4f341f4dd36549fd13f8470f84a5c3f17cb8a955f96ec81015803845975d6209",
+    "gradient1-spherical_direct8": "7abfd4b3cd48c2c70b6952d3b28f890c550b29fb594a466844a362de93bda6cb",
+    "gradient1-radial_direct8": "4f341f4dd36549fd13f8470f84a5c3f17cb8a955f96ec81015803845975d6209",
+    "gradient2-local": "ef28fd3633fc63328fd96d5afa246ae6e106c127dba0ddc77c5f7d2b180ad73a",
+    "gradient2-spherical_spectral": "47e57f22e3f1b6f036fa12ff7ab24b125a58d4ff0923e274075372008a5273ef",
+    "gradient2-radial_spectral": "0da6308401a88bdfd9e3552378419fb6ce1bb315134063f4723ce664667ba51d",
+    "gradient2-spherical_direct7": "aba4496f10ae60ebac38cf444dcf3c6a1fe2d828df5d488650763a3f30fdbd38",
+    "gradient2-radial_direct7": "6747979d200bb2632ce6ab76c9384fd0acbac762259fdfbb3ab13947c9d9102a",
+    "gradient2-spherical_direct8": "a4a9318729b17f09bbb7fe805412b410b01d8a033d7ecd279685da0abc80cd21",
+    "gradient2-radial_direct8": "aaa35dd65eac10a7f640e389c0dd4a97beb6c2ecb2fcc60e1df0165cb633786c",
+    "gradient3-local": "e8f5fc3c71bd7da9649eaddc92698fd264fa12905e96ab70b6ab15e218cab60c",
+    "gradient3-spherical_spectral": "8ad69846bbddd5976a00e1708a87900bf26350b828aa0ee1757d916766f3cd2f",
+    "gradient3-radial_spectral": "829c207b71dafb0fc9f333dd7553c6a75b705cb37a3d9a890d289141c34fa7e9",
+    "gradient3-spherical_direct7": "c0044c804827dc03184d1a3f67d24001218dd97ca955d797571ca98db939c358",
+    "gradient3-radial_direct7": "0939ceb976c819ce68874b82973420f2f7312648d785fbf41d7bbbb05b8efd90",
+    "gradient3-spherical_direct8": "a3314fb58d4a789ac432896f65cc673e4fe9c8e0e60b5d41db1a0eadb0825271",
+    "gradient3-radial_direct8": "ef2c585b18eb3b0ca4ea6c2b372a2d4a911f93d7bc0c98b952c0b763d6f0203c",
+    "sym-grad1-local": "d308e77f3bbc348268328e26b1a62dca1d843000bae5deeac927570c2d3a7666",
+    "sym-grad1-spherical_spectral": "baec32c0cef889a1072c15b9e3e69bd88c48341917c8567104a700e72c12f614",
+    "sym-grad1-radial_spectral": "af9160ac31320b41c1a7f608d04b2384eaaf734fdab75b6642dd188cbf62dc7a",
+    "sym-grad1-spherical_direct7": "7abfd4b3cd48c2c70b6952d3b28f890c550b29fb594a466844a362de93bda6cb",
+    "sym-grad1-radial_direct7": "4f341f4dd36549fd13f8470f84a5c3f17cb8a955f96ec81015803845975d6209",
+    "sym-grad1-spherical_direct8": "7abfd4b3cd48c2c70b6952d3b28f890c550b29fb594a466844a362de93bda6cb",
+    "sym-grad1-radial_direct8": "4f341f4dd36549fd13f8470f84a5c3f17cb8a955f96ec81015803845975d6209",
+    "sym-grad2-local": "dc89a75410811828a7a66975f595ad13ba8d9a68bedf4a5bf5c4adebc87729d3",
+    "sym-grad2-spherical_spectral": "480f3f2e7d04acd0137a115099cb3073fa894d3a2c2750a0ff10c70914110080",
+    "sym-grad2-radial_spectral": "3c962baf2056d22e6e97e574b39f1a160bb6c83a98272ff4d66481336f656f24",
+    "sym-grad2-spherical_direct7": "cabccf566a93518c30d73b8b30dbccd7062754c5557f569dc0eecf13ba65fcb9",
+    "sym-grad2-radial_direct7": "407bb51105dd8fa5e187690634a11be8b98036d80ad224540e4c53dbcefd238e",
+    "sym-grad2-spherical_direct8": "46b0541ff9b4fab81eac876ca465a2a4a5e89348d0210a518f13110ec84120d2",
+    "sym-grad2-radial_direct8": "38fda7fc790180d283cd18c3e316e3144d1b7177f01f3e43833e591f199aaa39",
+    "sym-grad3-local": "87d1047a843e80fb7b7e6b81e9ca73dbaaf6a23ef34cd9f73ec1eb9835070cfe",
+    "sym-grad3-spherical_spectral": "319dc2add0328bb5fab11ad63b4cb2537e0c0e7aff2aae6f68d4f49918e7ecfd",
+    "sym-grad3-radial_spectral": "91c15ac56f91dc8cb3f64c31aa5a38ef7ee0f8214542c576deb9c617cbcbc961",
+    "sym-grad3-spherical_direct7": "0b193c4bc17beb806c9a5fb6950155be5cfd1fdbdd8a35f1661b3848a1b288e7",
+    "sym-grad3-radial_direct7": "400b7bdb615b732f6d0d619bd0603ba285aa46805956655811a094edfa21cae1",
+    "sym-grad3-spherical_direct8": "5b3124f3cd5a9e36931c4f72da311c1124efc84ebd6a373dfd3abbc85a7b9e9f",
+    "sym-grad3-radial_direct8": "bf590cc56ac82cc08e8cee785345b7f75852edcf16bef29558d1e79e243fd822",
+}
+
+
+def test_preset_route_outputs_match_their_digests():
+    # pins every route bit for bit: a change to the pipeline that moves a
+    # single rounding of a preset shows here
+    got = {key: hashlib.sha256(data).hexdigest() for key, data in preset_route_outputs().items()}
+    assert got == ROUTE_DIGESTS
 
 
 class TestNonFinite:
