@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from math import pi, sqrt
+from math import gamma, pi, sqrt
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -41,10 +41,10 @@ from nlops.weights import RadialWeight, mu_hat, superposition_measure
 #: the j_error column of every kernel-check artifact.
 BESSEL_EVAL_ERR = 5e-13
 
-#: |J_{n/2}| below this flags a sphere-scale kernel frequency.
+#: |J_{n/2}| and |G_s| both below this flag a sphere-scale kernel frequency.
 KERNEL_ZERO_TOL = 1e-8
 
-#: |J_{n/2}| in [KERNEL_ZERO_TOL, KERNEL_GRAY_TOL) is reported inconclusive.
+#: Both below this, but not both below KERNEL_ZERO_TOL, is inconclusive.
 KERNEL_GRAY_TOL = 1e-4
 
 #: Spectrum entries below this relative magnitude count as empty when the
@@ -188,6 +188,7 @@ def _apply(
     maps the mask over ``_grid(n, N).shells`` of the shells that still carry
     spectrum to their values, in shell order, scattered back over them.
     """
+    _check_compat(op, u)
     axes = tuple(range(1, u.n + 1))
     grid = _grid(u.n, u.N)
     uhat = np.empty((u.dim_v,) + grid.norms.shape, dtype=complex)
@@ -224,13 +225,11 @@ def _apply(
 
 def apply_local(op: FirstOrderOperator, u: TorusField) -> TorusField:
     """The first-order operator itself, evaluated spectrally (exact on band-limited fields)."""
-    _check_compat(op, u)
     return _apply(op, u)
 
 
 def apply_spherical_spectral(op: FirstOrderOperator, u: TorusField, s: float) -> TorusField:
     """Sphere-scale operator via its Fourier multiplier (ball transform damping)."""
-    _check_compat(op, u)
     if s <= 0:
         raise ValueError("scale s must be positive")
     return _apply(op, u, multiplier=lambda present: ball_transform(u.n, s, _grid(u.n, u.N).shells[present]))
@@ -277,7 +276,6 @@ def apply_spherical_direct(
     of the multiplier route, it never evaluates the closed-form damping
     factor.
     """
-    _check_compat(op, u)
     if s <= 0:
         raise ValueError("scale s must be positive")
     return _apply(op, u, kernel=lambda m: _direct_symbol(m, np.array([float(s)]), np.array([1.0]), quad_order))
@@ -296,7 +294,6 @@ def apply_radial_spectral(
     to reuse evaluations across calls with the same weight.  The missing
     shells are filled together by :func:`_shell_multipliers`.
     """
-    _check_compat(op, u)
     if w.n != u.n:
         raise ValueError(f"weight dimension {w.n} does not match field dimension {u.n}")
     cache = {} if mu_cache is None else mu_cache
@@ -365,7 +362,6 @@ def apply_radial_direct(
     sphere rule as the direct sphere-scale route.  Never evaluates the
     weight's multiplier.
     """
-    _check_compat(op, u)
     if w.n != u.n:
         raise ValueError(f"weight dimension {w.n} does not match field dimension {u.n}")
     radii, rweights = superposition_measure(w)
@@ -501,20 +497,24 @@ class KernelScan:
 def kernel_check_torus(op: FirstOrderOperator, s: float, max_degree: int = 8) -> KernelScan:
     """Scan frequencies 0 < |m|_inf <= max_degree for sphere-scale kernel modes.
 
-    A plane wave e^(2 pi i m.x) v is annihilated when J_{n/2}(2 pi s |m|)
-    vanishes (regardless of v, provided A(m) v != 0).  |J| below 1e-8 is
-    flagged as a kernel frequency; values in [1e-8, 1e-4) are reported
-    inconclusive at double precision.  The frequencies run in np.ndindex
-    order.
+    A plane wave e^(2 pi i m.x) v is annihilated when J_{n/2}(t),
+    t = 2 pi s |m|, vanishes (regardless of v, provided A(m) v != 0).  For
+    small t, J is small only through its leading term (t/2)^(n/2) /
+    Gamma(n/2 + 1), while G_s(|m|), J over that term, is about 1; so a value
+    is small if both |J| and |G_s| are below tol: 1e-8 flags a kernel
+    frequency, 1e-4 an inconclusive one at double precision.  The
+    frequencies run in np.ndindex order.
     """
     if s <= 0:
         raise ValueError("scale s must be positive")
     m = np.indices((2 * max_degree + 1,) * op.n).reshape(op.n, -1).T - max_degree
     m = m[m.any(axis=1)]
     norms = np.sqrt(np.sum(m * m, axis=1))
-    j = bessel_j(op.n / 2.0, 2.0 * pi * s * norms)
-    zero = np.abs(j) < KERNEL_ZERO_TOL
-    gray = ~zero & (np.abs(j) < KERNEL_GRAY_TOL)
+    t = 2.0 * pi * s * norms
+    j = bessel_j(op.n / 2.0, t)
+    scale = np.minimum(1.0, (t / 2.0) ** (op.n / 2.0) / gamma(op.n / 2.0 + 1.0))
+    zero = np.abs(j) < KERNEL_ZERO_TOL * scale
+    gray = ~zero & (np.abs(j) < KERNEL_GRAY_TOL * scale)
     if zero.any():
         verdict = f"kernel frequencies found: {np.count_nonzero(zero)} of {len(m)} scanned"
     elif gray.any():
@@ -566,8 +566,8 @@ def kernel_witness(
             f"symbol vanishes identically at m={mvec}; the local operator already "
             "annihilates every plane wave at this frequency"
         )
-    norm = sqrt(sum(x * x for x in mvec))
-    j = float(bessel_j(op.n / 2.0, 2.0 * pi * s * norm))
+    t = 2.0 * pi * s * sqrt(sum(x * x for x in mvec))
+    j = float(bessel_j(op.n / 2.0, t))
     coeff = v / (2j)
     u = trig_field_from_coeffs(op.n, N, op.dim_v, [(mvec, coeff)])
     local = apply_local(op, u)
@@ -576,7 +576,8 @@ def kernel_witness(
     advisories = []
     if np.linalg.norm(image) <= 1e-12:
         advisories.append("fiber v lies in the symbol kernel at m; local image vanishes")
-    if abs(j) >= KERNEL_ZERO_TOL:
+    # the kernel scan's rule: |J| and |G_s| both below KERNEL_ZERO_TOL
+    if abs(j) >= KERNEL_ZERO_TOL * min(1.0, (t / 2.0) ** (op.n / 2.0) / gamma(op.n / 2.0 + 1.0)):
         advisories.append("J_{n/2}(2 pi s |m|) is not numerically zero; not a kernel frequency")
     return WitnessReport(
         m=mvec,

@@ -14,9 +14,10 @@ one array pass, and each probe keeps its own radial panels and its own
 window and atom checks.  A weight singular at the origin takes, as in
 ``weights``, the Gauss-Jacobi ``quadrature.origin_panel`` for its first
 radial panel.  The module also provides the sup-norm localization gap for
-u(t) = |t|, the area functional with recession term, its convergence
-tables, a one-dimensional Gauss-Green residual for piecewise-smooth
-functions, and a two-dimensional atomic example with a discontinuous
+u(t) = |t|, the area functional with the integrand's closed-form recession
+term on the atoms, its convergence tables, a one-dimensional Gauss-Green
+residual for piecewise-smooth functions whose pieces carry their exact
+derivatives, and a two-dimensional atomic example with a discontinuous
 average.
 """
 
@@ -35,9 +36,6 @@ from nlops.bessel import unit_ball_volume
 
 #: Distances closer than this to a ball boundary count as "on" it.
 BOUNDARY_ATOL = 1e-12
-
-#: Ray parameter for the default recession-function approximation.
-RECESSION_T = 1e6
 
 #: Probes of ``linf_gap``: the midpoints of this many equal cells of (-1, 1).
 LINF_PROBES = 400
@@ -390,44 +388,25 @@ def linf_gap_closed_form(eps: float, t: float) -> float:
 class AreaIntegrand:
     """Convex integrand with recession behaviour for measure functionals.
 
-    ``g`` maps fiber arrays (..., dim) to (...); ``g_infty`` is the
-    positively 1-homogeneous recession map, approximated along rays at
-    T = 1e6 when not supplied analytically.
+    ``g`` maps fiber arrays (..., dim) to (...); ``g_infty`` is its
+    positively 1-homogeneous recession map, in closed form.
     """
 
     g: Callable[[np.ndarray], np.ndarray]
-    g_infty: Optional[Callable[[np.ndarray], np.ndarray]] = None
-
-    def recession(self, z: np.ndarray) -> np.ndarray:
-        if self.g_infty is not None:
-            return self.g_infty(z)
-        return self.g(RECESSION_T * np.asarray(z, float)) / RECESSION_T
+    g_infty: Callable[[np.ndarray], np.ndarray]
 
 
-def area_integrand(shifted: bool = False) -> AreaIntegrand:
-    """sqrt(1+|z|^2), optionally shifted by -1 so the zero field contributes 0.
-
-    Both versions share the recession function |z|.
-    """
+def area_integrand() -> AreaIntegrand:
+    """sqrt(1+|z|^2), with the recession function |z|."""
 
     def g(z):
         z = np.asarray(z, float)
-        val = np.sqrt(1.0 + np.sum(z**2, axis=-1))
-        return val - 1.0 if shifted else val
+        return np.sqrt(1.0 + np.sum(z**2, axis=-1))
 
     def g_inf(z):
         return np.sqrt(np.sum(np.asarray(z, float) ** 2, axis=-1))
 
     return AreaIntegrand(g=g, g_infty=g_inf)
-
-
-def abs_integrand() -> AreaIntegrand:
-    """g(z) = |z|; the functional reduces to total variation."""
-
-    def g(z):
-        return np.sqrt(np.sum(np.asarray(z, float) ** 2, axis=-1))
-
-    return AreaIntegrand(g=g, g_infty=g)
 
 
 def area_functional(mu: MeasureField, f: AreaIntegrand) -> float:
@@ -439,7 +418,7 @@ def area_functional(mu: MeasureField, f: AreaIntegrand) -> float:
         vol = float(np.prod(mu.window[:, 1] - mu.window[:, 0]))
         total += float(f.g(np.zeros(mu.dim))) * vol
     for _, weight in mu.atoms:
-        total += float(f.recession(weight))
+        total += float(f.g_infty(weight))
     return total
 
 
@@ -550,18 +529,18 @@ def scenario_atom_spread():
 class PiecewiseBV:
     """Piecewise-smooth function of bounded variation on an interval.
 
-    ``pieces`` is a sequence of (a, b, fn) with contiguous intervals; ``dfn``
-    optionally supplies the classical derivative piece by piece.  Jump parts
-    of the derivative measure are the one-sided limit differences at the
-    interior breakpoints.
+    ``pieces`` is a sequence of (a, b, fn, dfn) with contiguous intervals:
+    ``fn`` is the function on [a, b] and ``dfn`` its classical derivative,
+    both vectorised.  Jump parts of the derivative measure are the one-sided
+    limit differences at the interior breakpoints, read off the adjacent
+    pieces.
     """
 
     pieces: tuple
-    dfn: Optional[tuple] = None
 
     def __post_init__(self):
-        pieces = tuple((float(a), float(b), fn) for a, b, fn in self.pieces)
-        for (a0, b0, _), (a1, b1, _) in zip(pieces, pieces[1:]):
+        pieces = tuple((float(a), float(b), fn, dfn) for a, b, fn, dfn in self.pieces)
+        for (_, b0, _, _), (a1, _, _, _) in zip(pieces, pieces[1:]):
             if not np.isclose(b0, a1):
                 raise MeasureError("pieces must cover a contiguous interval")
         object.__setattr__(self, "pieces", pieces)
@@ -571,62 +550,44 @@ class PiecewiseBV:
         return self.pieces[0][0], self.pieces[-1][1]
 
     def breakpoints(self) -> np.ndarray:
-        return np.array([b for _, b, _ in self.pieces[:-1]])
+        return np.array([b for _, b, _, _ in self.pieces[:-1]])
 
     def __call__(self, t: float) -> float:
         t = float(t)
         a, b = self.support
         if t < a - BOUNDARY_ATOL or t > b + BOUNDARY_ATOL:
             raise MeasureError(f"evaluation point {t:g} outside support [{a:g}, {b:g}]")
-        for lo, hi, fn in self.pieces:
+        for lo, hi, fn, _ in self.pieces:
             if t < hi or hi == b:
                 return float(fn(np.asarray(t)))
 
-    def jump(self, t: float) -> float:
-        """One-sided limit difference f(t+) - f(t-) at an interior breakpoint."""
-        for i, (lo, hi, fn) in enumerate(self.pieces[:-1]):
-            if np.isclose(hi, t):
-                left = float(fn(np.asarray(hi)))
-                right = float(self.pieces[i + 1][2](np.asarray(hi)))
-                return right - left
-        return 0.0
-
-    def derivative_on(self, i: int, t: np.ndarray) -> np.ndarray:
-        if self.dfn is not None:
-            return np.asarray(self.dfn[i](t), dtype=float)
-        h = 1e-6
-        fn = self.pieces[i][2]
-        return (np.asarray(fn(t + h), float) - np.asarray(fn(t - h), float)) / (2.0 * h)
-
 
 def heaviside_bv() -> PiecewiseBV:
-    return PiecewiseBV(
-        pieces=((-1.0, 0.0, lambda t: np.zeros_like(np.asarray(t, float))), (0.0, 1.0, lambda t: np.ones_like(np.asarray(t, float)))),
-        dfn=(lambda t: np.zeros_like(np.asarray(t, float)), lambda t: np.zeros_like(np.asarray(t, float))),
-    )
+    zero = lambda t: np.zeros_like(np.asarray(t, float))
+    one = lambda t: np.ones_like(np.asarray(t, float))
+    return PiecewiseBV(pieces=((-1.0, 0.0, zero, zero), (0.0, 1.0, one, zero)))
 
 
 def trig_bv() -> PiecewiseBV:
     om = 2.0 * pi
-    return PiecewiseBV(
-        pieces=((-1.0, 1.0, lambda t: np.sin(om * np.asarray(t, float))),),
-        dfn=(lambda t: om * np.cos(om * np.asarray(t, float)),),
-    )
+    sin = lambda t: np.sin(om * np.asarray(t, float))
+    dsin = lambda t: om * np.cos(om * np.asarray(t, float))
+    return PiecewiseBV(pieces=((-1.0, 1.0, sin, dsin),))
 
 
 def derivative_measure_of_interval(u: PiecewiseBV, lo: float, hi: float) -> float:
     """Du((lo, hi)): quadrature of the classical part plus interior jumps."""
     total = 0.0
-    for i, (a, b, _) in enumerate(u.pieces):
+    for a, b, _, dfn in u.pieces:
         seg_lo, seg_hi = max(a, lo), min(b, hi)
         if seg_hi <= seg_lo:
             continue
         count = max(1, int(np.ceil((seg_hi - seg_lo) / 0.25)))
         nodes, wts = panel_rule(np.linspace(seg_lo, seg_hi, count + 1), 20)
-        total += float(np.sum(wts * u.derivative_on(i, nodes)))
-    for t in u.breakpoints():
-        if lo < t < hi:
-            total += u.jump(float(t))
+        total += float(np.sum(wts * dfn(nodes)))
+    for (_, b, left, _), (_, _, right, _) in zip(u.pieces, u.pieces[1:]):
+        if lo < b < hi:
+            total += float(right(b)) - float(left(b))
     return total
 
 
@@ -668,20 +629,17 @@ def atomic_pair_measure() -> MeasureField:
     )
 
 
-def atomic_divergence_demo(s: float = 1.0, probes: Optional[Sequence] = None) -> list[tuple]:
+def atomic_divergence_demo(s: float = 1.0) -> list[tuple]:
     """Ball averages of the two-atom measure at probes around the origin.
 
-    With s = 1 the set of probes (±h, 0), (0, ±h) exhibits a jump: one atom
-    enters or leaves the unit ball depending on the approach direction.
-    Rows are (probe, value, atoms_inside).
+    With s = 1 the probes (±h, 0), (0, ±h), h = 0.1 and 0.01, exhibit a
+    jump: one atom enters or leaves the unit ball depending on the approach
+    direction; the last probe, (10, 10), is far from both atoms.  Rows are
+    (probe, value, atoms_inside).
     """
     mu = atomic_pair_measure()
-    if probes is None:
-        probes = []
-        for h in (0.1, 0.01):
-            probes.extend([(h, 0.0), (-h, 0.0), (0.0, h), (0.0, -h)])
-        probes.append((10.0, 10.0))
-    x = np.asarray(probes, dtype=float)
+    probes = [p for h in (0.1, 0.01) for p in ((h, 0.0), (-h, 0.0), (0.0, h), (0.0, -h))]
+    x = np.array(probes + [(10.0, 10.0)])
     vals = spherical_of_measure(mu, s, x)[:, 0]
     locs = np.array([loc for loc, _ in mu.atoms])
     inside = (np.sqrt(((locs - x[:, None, :]) ** 2).sum(axis=-1)) < s).sum(axis=-1)

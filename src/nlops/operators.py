@@ -2,9 +2,9 @@
 
 An operator is determined by n coefficient matrices A_1, ..., A_n of common
 shape dim_w x dim_v; it acts on V-valued fields as sum_i A_i d_i u.  The
-module provides the symbol map xi -> sum_i xi_i A_i, its zero-homogeneous
-profile, the formal L2 adjoint, pointwise numerical rank (the "active
-frequency" test), and the spherical cancellation residual.
+module provides the symbol map xi -> sum_i xi_i A_i, the formal L2 adjoint,
+pointwise numerical rank (the "active frequency" test), and the spherical
+cancellation residual.
 """
 
 from __future__ import annotations
@@ -59,11 +59,6 @@ class FirstOrderOperator:
             mats.append(a)
         object.__setattr__(self, "coeffs", tuple(mats))
 
-    @property
-    def nontrivial(self) -> bool:
-        """True if at least one coefficient matrix is nonzero."""
-        return any(np.any(a != 0.0) for a in self.coeffs)
-
 
 def symbol(op: FirstOrderOperator, xi) -> np.ndarray:
     """Principal symbol sum_i xi_i A_i: frequencies of shape (..., n) give
@@ -75,18 +70,6 @@ def symbol(op: FirstOrderOperator, xi) -> np.ndarray:
     for i, a in enumerate(op.coeffs):
         out += xi[..., i, None, None] * a
     return out
-
-
-def omega_profile(op: FirstOrderOperator, xi) -> np.ndarray:
-    """Zero-homogeneous profile: the symbol evaluated at xi/|xi|.
-
-    Raises ValueError for the zero vector, where no direction exists.
-    """
-    xi = np.asarray(xi, dtype=float).reshape(-1)
-    norm = np.linalg.norm(xi)
-    if norm == 0.0:
-        raise ValueError("omega_profile requires a nonzero frequency vector")
-    return symbol(op, xi / norm)
 
 
 def adjoint(op: FirstOrderOperator) -> FirstOrderOperator:

@@ -162,17 +162,13 @@ def superposition_measure(w: RadialWeight, *, delta: float = 0.0) -> tuple[np.nd
         return np.array([]), np.array([])
     lo = max(delta, 0.0)
     points = [lo] + sorted({b for b in w.breakpoints if lo < b < R}) + [R]
-    rules = []
-    for seg_lo, seg_hi in zip(points[:-1], points[1:]):
-        count = max(8, int(np.ceil((seg_hi - seg_lo) / (R / 32.0))))
-        edges = np.linspace(seg_lo, seg_hi, count + 1)
-        nodes, weights = panel_rule(edges, PANEL_NODES)
-        if seg_lo == 0.0 and w.singularity_exponent < 0.0:
-            first = origin_panel(edges[1], PANEL_NODES, w.n - 1.0 + w.singularity_exponent)
-            nodes[:PANEL_NODES], weights[:PANEL_NODES] = first
-        rules.append((nodes, weights))
-    r = np.concatenate([nodes for nodes, _ in rules])
-    q = np.concatenate([weights for _, weights in rules])
+    # each segment's edges but its last, which opens the next segment
+    edges = np.concatenate(
+        [np.linspace(a, b, max(8, int(np.ceil((b - a) / (R / 32.0)))) + 1)[:-1] for a, b in zip(points, points[1:])] + [[R]]
+    )
+    r, q = panel_rule(edges, PANEL_NODES)
+    if lo == 0.0 and w.singularity_exponent < 0.0:
+        r[:PANEL_NODES], q[:PANEL_NODES] = origin_panel(edges[1], PANEL_NODES, w.n - 1.0 + w.singularity_exponent)
     return r, q * (unit_ball_volume(w.n) * w.n * r ** (w.n - 1) * w.profile(r))
 
 
